@@ -56,8 +56,9 @@
 #                      rot. bench_facade digest-gates the panda::Index
 #                      facade against direct engine calls; bench_mmap
 #                      digest-gates mapped-index queries against the
-#                      owned build and gates v3 open latency under the
-#                      v2 full read; bench_mutable digest-gates the
+#                      owned build and gates the unverified open
+#                      latency under the owned load() of the same v4
+#                      file; bench_mutable digest-gates the
 #                      live forest against a from-scratch build and
 #                      gates the no-rebuild-stall + bounded-merge-
 #                      interference contract. Runs automatically at

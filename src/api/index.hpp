@@ -132,10 +132,10 @@ struct IndexOptions {
   /// Engine::Local: approximate RAM the build may use (0 = unlimited).
   /// When the estimated in-RAM build footprint exceeds this budget,
   /// Index::build switches to core::KdTree::build_external — the
-  /// out-of-core chunked build streaming into a v3 index file at
+  /// out-of-core chunked build streaming into an index file at
   /// `external_index_path` (required then), served memory-mapped.
   std::uint64_t memory_budget_bytes = 0;
-  /// Where the external build writes its v3 index file. The file must
+  /// Where the external build writes its index file. The file must
   /// outlive the index (its storage is the mapped file).
   std::string external_index_path;
   /// Spill-chunk scratch directory of the external build (removed
@@ -238,7 +238,7 @@ class Index {
 
   /// Persists the index for Index::open. The Local adapter writes its
   /// tree; the Mutable adapter compacts its forest (buffer + trees,
-  /// tombstones dropped) into one packed v3 tree first, so the file
+  /// tombstones dropped) into one packed tree first, so the file
   /// round-trips through Index::open under either engine. The other
   /// adapters throw panda::Error.
   virtual void save(const std::string& path) const;
@@ -307,14 +307,11 @@ class Index {
   /// level with the saved tree, ready to absorb new writes on top;
   /// `options.pool` / `options.threads` configure the query pool.
   ///
-  /// A v4 (checksummed) file is opened zero-copy (memory-mapped; with
+  /// The file is opened zero-copy (memory-mapped; with
   /// options.verify_on_open = false the open cost is independent of
-  /// index size). A v2/v3 file is loaded into owned memory and
-  /// converted in place to v4 — one atomic rewrite, after which the
-  /// mapped file serves; if the rewrite fails (read-only location),
-  /// the owned tree serves and the file is left untouched. I/O and
-  /// format failures throw panda::Error — a version-1 file is refused
-  /// with the loader's diagnostic verbatim.
+  /// index size). I/O and format failures throw panda::Error with the
+  /// reader's diagnostic verbatim — a file of an older format version
+  /// is refused with a rebuild hint.
   ///
   /// When `path` is a *directory*, it is opened as a durable
   /// MutableIndex directory (requires options.engine == Mutable):

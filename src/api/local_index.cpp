@@ -79,7 +79,7 @@ std::unique_ptr<Index> make_local_index(const data::PointStorage& points,
     PANDA_CHECK_MSG(!options.external_index_path.empty(),
                     "IndexOptions.memory_budget_bytes needs "
                     "external_index_path: the out-of-core build writes (and "
-                    "serves) a v3 index file");
+                    "serves) an index file");
     core::ExternalBuildOptions ext;
     ext.memory_budget_bytes = options.memory_budget_bytes;
     ext.scratch_dir = options.external_scratch_dir;

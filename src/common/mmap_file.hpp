@@ -1,7 +1,7 @@
 // Read-only memory-mapped files (DESIGN.md §11).
 //
-// MmapFile is the zero-copy backing of the storage-view layer: a v3
-// kd-tree index or an aligned point file is opened by mapping it and
+// MmapFile is the zero-copy backing of the storage-view layer: a
+// kd-tree index or a point file is opened by mapping it and
 // pointing spans into the map, so "loading" a billion-point index
 // costs one mmap syscall plus a header validation — no full-file read,
 // no allocation proportional to the data. Pages fault in lazily as

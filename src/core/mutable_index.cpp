@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -224,13 +225,7 @@ void MutableIndex::apply_insert_locked(const data::PointSet& points) {
 
 std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
   MutexLock lock(mutex_);
-  // Collect the ids that are actually live (erasing them from live_ as
-  // we go, which also deduplicates repeats within the batch) so the
-  // WAL frame holds exactly the erases this call performs.
-  std::vector<std::uint64_t> hit;
-  for (const std::uint64_t id : ids) {
-    if (live_.erase(id) == 1) hit.push_back(id);
-  }
+  const IdList hit = take_live_locked(ids);
   if (hit.empty()) return 0;
   if (durable()) {
     try {
@@ -240,69 +235,88 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
       throw;
     }
   }
-  for (const std::uint64_t id : hit) tombstone_locked(id);
-  erases_ += hit.size();
-  // order: relaxed — size() gauge; see the hpp.
-  live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
+  apply_erase_locked(hit);
   publish_locked();
   if (durable()) maybe_sync_wal_locked();
   return hit.size();
 }
 
-/// Replay-side erase: applies whichever of `ids` are live and skips
-/// the rest silently — an id a WAL frame names may have been dropped
-/// from the files by a post-rotation merge, which is not an error.
-std::vector<std::uint64_t> MutableIndex::apply_erase_locked(
+/// Removes whichever of `ids` are live from live_ and returns them, in
+/// first-seen order with repeats dropped — exactly the erases the call
+/// performs, so erase()'s WAL frame logs nothing more. Ids that are not
+/// live are skipped silently: on replay, an id a WAL frame names may
+/// have been dropped from the files by a post-rotation merge, which is
+/// not an error.
+MutableIndex::IdList MutableIndex::take_live_locked(
     std::span<const std::uint64_t> ids) {
-  std::vector<std::uint64_t> hit;
+  IdList hit;
   for (const std::uint64_t id : ids) {
     if (live_.erase(id) == 1) hit.push_back(id);
-  }
-  for (const std::uint64_t id : hit) tombstone_locked(id);
-  if (!hit.empty()) {
-    erases_ += hit.size();
-    // order: relaxed — size() gauge; see the hpp.
-    live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
   }
   return hit;
 }
 
-void MutableIndex::tombstone_locked(std::uint64_t id) {
-  const auto add_dead = [id](std::shared_ptr<const IdList>& dead) {
-    // Copy-on-write: pinned snapshots keep reading the old list.
-    auto next = dead ? std::make_shared<IdList>(*dead)
-                     : std::make_shared<IdList>();
-    next->insert(std::upper_bound(next->begin(), next->end(), id), id);
+/// The state mutation behind erase() and WAL replay: `hit` holds ids
+/// the caller already took out of live_, each live in exactly one
+/// container. Every run and tree gets at most one copy-on-write copy
+/// of its dead list per batch — pinned snapshots keep reading the old
+/// list.
+void MutableIndex::apply_erase_locked(std::span<const std::uint64_t> hit) {
+  if (hit.empty()) return;
+  IdList pending(hit.begin(), hit.end());
+  std::sort(pending.begin(), pending.end());
+  IdList found;
+  // Merges `found` (the pending ids one container holds live) into its
+  // dead list and drops them from `pending`.
+  const auto retire = [&](std::shared_ptr<const IdList>& dead) {
+    if (found.empty()) return;
+    std::sort(found.begin(), found.end());
+    auto next = std::make_shared<IdList>();
+    next->reserve((dead ? dead->size() : 0) + found.size());
+    if (dead) {
+      std::merge(dead->begin(), dead->end(), found.begin(), found.end(),
+                 std::back_inserter(*next));
+    } else {
+      next->assign(found.begin(), found.end());
+    }
     dead = std::move(next);
+    IdList rest;
+    rest.reserve(pending.size() - found.size());
+    std::set_difference(pending.begin(), pending.end(), found.begin(),
+                        found.end(), std::back_inserter(rest));
+    pending.swap(rest);
+    found.clear();
   };
-  const auto run_holds_live = [id](const Run& run) {
-    if (run.dead != nullptr && contains(*run.dead, id)) return false;
-    const auto ids = run.points->ids();
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  const auto is_dead = [](const std::shared_ptr<const IdList>& dead,
+                          std::uint64_t id) {
+    return dead != nullptr && contains(*dead, id);
   };
-  for (Run& run : open_runs_) {
-    if (run_holds_live(run)) {
-      add_dead(run.dead);
-      return;
+  const auto scan_run = [&](Run& run) {
+    if (pending.empty()) return;
+    for (const std::uint64_t id : run.points->ids()) {
+      if (contains(pending, id) && !is_dead(run.dead, id)) found.push_back(id);
     }
-  }
+    retire(run.dead);
+  };
+  for (Run& run : open_runs_) scan_run(run);
   for (auto& group : sealed_groups_) {
-    for (Run& run : group) {
-      if (run_holds_live(run)) {
-        add_dead(run.dead);
-        return;
-      }
-    }
+    for (Run& run : group) scan_run(run);
   }
   for (TreeShard& shard : trees_) {
-    if (contains(*shard.ids, id) &&
-        !(shard.dead != nullptr && contains(*shard.dead, id))) {
-      add_dead(shard.dead);
-      return;
+    if (pending.empty()) break;
+    for (const std::uint64_t id : pending) {
+      if (contains(*shard.ids, id) && !is_dead(shard.dead, id)) {
+        found.push_back(id);
+      }
     }
+    retire(shard.dead);
   }
-  PANDA_CHECK_MSG(false, "internal: live id " << id
-                                              << " found in no container");
+  PANDA_CHECK_MSG(pending.empty(), "internal: live id "
+                                       << pending.front()
+                                       << " found in no container");
+  erases_ += hit.size();
+  // order: relaxed — size() gauge; see the hpp.
+  live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
 }
 
 void MutableIndex::publish_locked() {
@@ -803,7 +817,7 @@ void MutableIndex::recover_durable() {
       }
       case Wal::FrameType::Erase:
       case Wal::FrameType::Tombstones:
-        apply_erase_locked(frame.ids);
+        apply_erase_locked(take_live_locked(frame.ids));
         break;
     }
   }
@@ -1210,7 +1224,7 @@ data::PointSet MutableIndex::live_points() const {
 }
 
 void MutableIndex::save(const std::string& path) const {
-  // Compact-on-save: the artifact is always one packed v3 tree with
+  // Compact-on-save: the artifact is always one packed tree with
   // zero tombstones, built over the pinned snapshot's live points in
   // ascending-id order. The in-memory forest is untouched (save is
   // const and concurrent-safe); Index::open seeds a fresh forest's

@@ -168,7 +168,7 @@ class MutableIndex {
                const BuildConfig& build,
                std::shared_ptr<parallel::ThreadPool> pool);
   /// Seeds the forest with an already-built tree at its size-matched
-  /// level (the Index::open path: a saved v3 file becomes the largest
+  /// level (the Index::open path: a saved index file becomes the largest
   /// level and new writes stack on top). The seed's ids must be
   /// unique.
   MutableIndex(KdTree seed, const MutableConfig& config,
@@ -243,7 +243,7 @@ class MutableIndex {
 
   /// Persists the state as of the call: gathers the live points from
   /// the current snapshot, builds one packed tree (zero tombstones,
-  /// ascending-id point order), and saves it as a v3 file — the
+  /// ascending-id point order), and saves it as an index file — the
   /// compact-on-save contract of Index::save. The in-memory forest is
   /// untouched; Index::open seeds a new forest from the file.
   void save(const std::string& path) const;
@@ -299,7 +299,6 @@ class MutableIndex {
   void publish_locked() PANDA_REQUIRES(mutex_);
   bool has_work_locked() const PANDA_REQUIRES(mutex_);
   int overfull_level_locked() const PANDA_REQUIRES(mutex_);
-  void tombstone_locked(std::uint64_t id) PANDA_REQUIRES(mutex_);
   /// Appends every live point of the current state to `out` (and its
   /// id to `ids` when non-null). Order: runs first, then trees.
   void gather_live_locked(data::PointSet& out) const PANDA_REQUIRES(mutex_);
@@ -340,11 +339,15 @@ class MutableIndex {
   void rotate_wal_locked() PANDA_REQUIRES(mutex_);
 
   /// Shared apply paths: insert()/erase() log then apply; recovery
-  /// replays by applying without logging.
+  /// replays by applying without logging. An erase batch is
+  /// take_live_locked() then apply_erase_locked(), which tombstones
+  /// the whole batch with one dead-list copy per touched container.
   void apply_insert_locked(const data::PointSet& points)
       PANDA_REQUIRES(mutex_);
-  std::vector<std::uint64_t> apply_erase_locked(
-      std::span<const std::uint64_t> ids) PANDA_REQUIRES(mutex_);
+  IdList take_live_locked(std::span<const std::uint64_t> ids)
+      PANDA_REQUIRES(mutex_);
+  void apply_erase_locked(std::span<const std::uint64_t> hit)
+      PANDA_REQUIRES(mutex_);
   /// Group commit: fsync when wal_flush_every frames accumulated or
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);

@@ -53,57 +53,67 @@ PointSet PointStorage::to_point_set() const {
 MmapStorage::MmapStorage(const std::string& path, bool verify_sections)
     : file_(common::MmapFile::open(path)) {
   using namespace detail;
-  PANDA_CHECK_MSG(file_->size() >= kPointsHeaderSpan,
-                  "point file too small for a header: " << path);
-  PointsHeaderV3 header{};
-  std::memcpy(&header, file_->data(), sizeof(PointsHeaderV2));
-  PANDA_CHECK_MSG(header.magic != byteswap64(kPointsMagic),
-                  "point file has byte-swapped magic (endianness "
-                  "mismatch): "
-                      << path);
-  PANDA_CHECK_MSG(header.magic == kPointsMagic,
-                  "not a PANDA point file: " << path);
-  PANDA_CHECK_MSG(header.version != kPointsVersionLegacy,
-                  "point file " << path
-                                << " is format v1 (unaligned) — re-save it "
-                                   "with save_points to enable mmap");
-  PANDA_CHECK_MSG(header.version == kPointsVersionAligned ||
-                      header.version == kPointsVersionChecksummed,
-                  "unsupported point file version " << header.version << ": "
-                                                    << path);
-  const bool checksummed = header.version == kPointsVersionChecksummed;
-  if (checksummed) {
-    PANDA_CHECK_MSG(file_->size() >= kPointsHeaderSpanV3,
-                    "point file too small for a header: " << path);
-    std::memcpy(&header, file_->data(), sizeof(header));
+  const std::uint64_t size = file_->size();
+  // Magic and version first, from the first 12 bytes: they sit at the
+  // same offsets in every format revision, so an old file is named as
+  // such even when it is shorter than today's header span.
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  if (size >= sizeof(magic) + sizeof(version)) {
+    std::memcpy(&magic, file_->data(), sizeof(magic));
+    std::memcpy(&version, file_->data() + sizeof(magic), sizeof(version));
+    PANDA_CHECK_MSG(magic != kPointsMagic || version == kPointsVersion,
+                    "unsupported point file version "
+                        << version << " (expected " << kPointsVersion
+                        << "); rebuild and re-save the point file: "
+                        << path);
   }
+  PANDA_CHECK_MSG(size >= kPointsHeaderSpan,
+                  "point file too small for a header: " << path);
+  PANDA_CHECK_MSG(magic != byteswap64(kPointsMagic),
+                  "point file has byte-swapped magic (endianness "
+                  "mismatch — file written on a big-endian host?): "
+                      << path);
+  PANDA_CHECK_MSG(magic == kPointsMagic, "not a PANDA point file: " << path);
+
+  PointsHeader header{};
+  std::memcpy(&header, file_->data(), sizeof(header));
   PANDA_CHECK_MSG(header.dims >= 1 && header.dims <= kMaxPointDims,
                   "point file header field 'dims' out of bounds ("
-                      << header.dims << "): " << path);
-  PANDA_CHECK_MSG(header.file_size == file_->size(),
+                      << header.dims << ", expected 1.." << kMaxPointDims
+                      << "): " << path);
+  PANDA_CHECK_MSG(header.file_size == size,
                   "point file header field 'file_size' inconsistent ("
-                      << header.file_size << " recorded, " << file_->size()
+                      << header.file_size << " recorded, " << size
                       << " actual): " << path);
+  // Bound the count by the file size before any byte size is computed
+  // from it: count * 8 must not wrap u64 into a passing layout check.
+  PANDA_CHECK_MSG(header.count <= size / sizeof(std::uint64_t),
+                  "point file header field 'count' out of bounds ("
+                      << header.count << " ids cannot fit in the " << size
+                      << "-byte file): " << path);
   PANDA_CHECK_MSG(header.ids_off % 64 == 0 && header.coords_off % 64 == 0 &&
                       header.coord_stride_bytes % 64 == 0,
-                  "point file has misaligned section offsets: " << path);
+                  "point file header has misaligned section offsets: "
+                      << path);
+  // Every term is <= size before it is summed or scaled (dims is
+  // bounded above), so none of these sums or products can wrap.
   PANDA_CHECK_MSG(
-      header.coord_stride_bytes >= header.count * sizeof(float) &&
+      header.ids_off <= size && header.coords_off <= size &&
+          header.coord_stride_bytes <= size &&
+          header.coord_stride_bytes >= header.count * sizeof(float) &&
           header.ids_off + header.count * sizeof(std::uint64_t) <=
               header.coords_off &&
-          header.coords_off + header.dims * header.coord_stride_bytes <=
-              file_->size(),
+          header.coords_off + header.dims * header.coord_stride_bytes <= size,
       "point file header field 'count' inconsistent with section layout: "
           << path);
-  if (checksummed) {
-    PointsHeaderV3 copy = header;
-    copy.header_crc = 0;
-    const std::uint32_t computed = common::crc32c(&copy, sizeof(copy));
-    PANDA_CHECK_MSG(computed == header.header_crc,
-                    "point file header checksum mismatch (stored 0x"
-                        << std::hex << header.header_crc << ", computed 0x"
-                        << computed << std::dec << "): " << path);
-  }
+  PointsHeader copy = header;
+  copy.header_crc = 0;
+  const std::uint32_t computed = common::crc32c(&copy, sizeof(copy));
+  PANDA_CHECK_MSG(computed == header.header_crc,
+                  "point file header checksum mismatch (stored 0x"
+                      << std::hex << header.header_crc << ", computed 0x"
+                      << computed << std::dec << "): " << path);
 
   dims_ = header.dims;
   count_ = header.count;
@@ -115,7 +125,7 @@ MmapStorage::MmapStorage(const std::string& path, bool verify_sections)
         base + header.coords_off + d * header.coord_stride_bytes);
   }
 
-  if (checksummed && verify_sections) {
+  if (verify_sections) {
     const std::uint32_t ids_crc =
         common::crc32c(ids_, count_ * sizeof(std::uint64_t));
     PANDA_CHECK_MSG(ids_crc == header.ids_crc,

@@ -9,7 +9,7 @@
 //
 //   OwnedStorage   — owns a PointSet; the classical in-RAM case.
 //   MmapStorage    — zero-copy spans into a memory-mapped aligned
-//                    point file (data::io format v2); opening a
+//                    point file (data/file_format.hpp); opening a
 //                    100 GB dataset costs one mmap, pages fault in
 //                    as kernels touch them.
 //   ChunkedStorage — a build-time spill file: points partitioned
@@ -130,20 +130,18 @@ class OwnedStorage final : public PointStorage {
   PointSet set_;
 };
 
-/// Zero-copy view over an aligned point file (data::io format v2):
-/// the id array and every per-dimension coordinate array sit at
-/// 64-byte-aligned offsets, so the spans point straight into the map.
-/// Version-1 files (unaligned) are refused with a re-save hint —
-/// load_points still reads them into owned memory.
+/// Zero-copy view over a point file (data/file_format.hpp): the id
+/// array and every per-dimension coordinate array sit at 64-byte-
+/// aligned offsets, so the spans point straight into the map. The one
+/// point-file reader — data::load_points copies its spans.
 class MmapStorage final : public PointStorage {
  public:
-  /// Maps `path` and validates its header (magic, version, dims and
-  /// count bounds, section offsets/alignment against the file size;
-  /// for checksummed v3 files also the header CRC, plus the id/coord
-  /// section CRCs unless `verify_sections` is false — legacy v2 files
-  /// carry no checksums and are served as-is).
-  /// Throws panda::Error on any mismatch, before touching the data
-  /// pages.
+  /// Maps `path` and validates its header (magic, version, dims,
+  /// count bounded by the file size, section offsets/alignment
+  /// against the file size, header CRC), plus the id/coord section
+  /// CRCs unless `verify_sections` is false. Throws panda::Error on
+  /// any mismatch, before touching the data pages; a file of any
+  /// format version other than 3 is refused with a re-save hint.
   explicit MmapStorage(const std::string& path, bool verify_sections = true);
 
   std::size_t dims() const override { return dims_; }

@@ -94,7 +94,6 @@ class AllKnnEngine {
   /// exact against the full distributed dataset. All ranks must call.
   /// The table is caller-owned and reusable — repeated runs at steady
   /// sizes reuse its arena.
-  /// (The legacy vector-of-vectors shim lives in core/compat.hpp.)
   void run_into(const AllKnnConfig& config, core::NeighborTable& results,
                 AllKnnStats* stats = nullptr);
 

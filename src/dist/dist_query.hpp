@@ -66,7 +66,6 @@ class DistQueryEngine {
   /// distributed dataset. The caller-owned table is reusable across
   /// runs; the engine may be reused with different configurations over
   /// the same tree.
-  /// (The legacy vector-of-vectors shim lives in core/compat.hpp.)
   void run_into(const data::PointSet& queries, const DistQueryConfig& config,
                 core::NeighborTable& results,
                 DistQueryBreakdown* breakdown = nullptr);

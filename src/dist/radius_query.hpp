@@ -53,7 +53,6 @@ class DistRadiusEngine {
   /// rank counts and batch sizes. All ranks must call (with possibly
   /// empty query sets). The caller-owned table is reusable across
   /// runs.
-  /// (The legacy vector-of-vectors shim lives in core/compat.hpp.)
   void run_into(const data::PointSet& queries,
                 const RadiusQueryConfig& config,
                 core::NeighborTable& results,

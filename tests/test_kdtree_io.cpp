@@ -2,8 +2,9 @@
 // results bit-for-bit; v4 files open zero-copy via mmap; malformed
 // inputs are rejected with header diagnostics; a single flipped byte
 // in any section is caught by the CRC32C checksums with a
-// section-naming diagnostic; legacy versions take their documented
-// paths (v2/v3 convert on open, v1 is refused).
+// section-naming diagnostic; counts whose byte size would wrap u64
+// are rejected by name; files of any other format version — kd-tree
+// or point file — are refused by every entry point.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,14 +12,19 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/index.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "core/kdtree.hpp"
 #include "core/kdtree_format.hpp"
 #include "data/generators.hpp"
+#include "data/io.hpp"
+#include "data/storage.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace panda::core {
@@ -245,7 +251,7 @@ TEST(KdTreeIo, MmapRejectsMisalignedSectionOffsets) {
   const std::string path = ::testing::TempDir() + "/panda_tree_v3_align.kdt";
   tree.save(path);
 
-  // nodes_off lives at byte 56 of the v3 header (after magic, version,
+  // nodes_off lives at byte 56 of the header (after magic, version,
   // dims, four counts, file_size). Knock it off the 64-byte grid.
   std::uint64_t nodes_off = 0;
   {
@@ -295,48 +301,6 @@ TEST(KdTreeIo, VersionOneIsRefusedVerbatimThroughIndexOpen) {
   std::remove(path.c_str());
 }
 
-TEST(KdTreeIo, VersionTwoConvertsOnOpenAndMatchesOracle) {
-  const auto gen = data::make_generator("gmm", 85);
-  const data::PointSet points = gen->generate_all(8000);
-  const data::PointSet queries = gen->generate_all(150);
-  parallel::ThreadPool pool(4);
-  const KdTree original = KdTree::build(points, BuildConfig{}, pool);
-
-  const std::string path = ::testing::TempDir() + "/panda_tree_v2.kdt";
-  original.save_legacy_v2(path);
-  // A v2 file is not mappable...
-  EXPECT_NE(error_of([&] { KdTree::open_mmap(path); })
-                .find("format version 2"),
-            std::string::npos);
-  // ...but Index::open converts it in place and serves it mapped.
-  const auto index = Index::open(path);
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::uint64_t magic = 0;
-    std::uint32_t version = 0;
-    in.read(reinterpret_cast<char*>(&magic), 8);
-    in.read(reinterpret_cast<char*>(&version), 4);
-    EXPECT_EQ(version, 4u) << "convert-on-open left the file at v2";
-  }
-
-  // Results through the converted index match a brute-force oracle.
-  IndexOptions brute;
-  brute.engine = IndexOptions::Engine::BruteForce;
-  const auto oracle = Index::build(points, brute);
-  std::vector<float> q(points.dims());
-  for (std::uint64_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, q.data());
-    const auto a = oracle->knn(q, 9);
-    const auto b = index->knn(q, 9);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      ASSERT_EQ(a[j].id, b[j].id);
-      ASSERT_EQ(a[j].dist2, b[j].dist2);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(KdTreeIo, EveryFlippedSectionByteIsCaughtAndNamed) {
   const auto gen = data::make_generator("cosmo", 91);
   const data::PointSet points = gen->generate_all(4000);
@@ -345,12 +309,12 @@ TEST(KdTreeIo, EveryFlippedSectionByteIsCaughtAndNamed) {
   const std::string path = ::testing::TempDir() + "/panda_tree_flip.kdt";
   tree.save(path);
 
-  detail::KdTreeHeaderV4 header{};
+  detail::KdTreeHeader header{};
   {
     std::ifstream in(path, std::ios::binary);
     in.read(reinterpret_cast<char*>(&header), sizeof(header));
     ASSERT_TRUE(in.good());
-    ASSERT_EQ(header.version, detail::kKdTreeVersionChecksummed);
+    ASSERT_EQ(header.version, detail::kKdTreeVersion);
   }
   const std::uint64_t offsets[detail::kKdTreeSectionCount] = {
       header.nodes_off,  header.leaves_off, header.leaf_nodes_off,
@@ -394,7 +358,7 @@ TEST(KdTreeIo, FlippedHeaderByteFailsHeaderChecksum) {
   tree.save(path);
   // The stats block is not structurally validated, so a flip there is
   // caught by the header CRC (and by nothing else).
-  const std::uint64_t off = offsetof(detail::KdTreeHeaderV4, stats);
+  const std::uint64_t off = offsetof(detail::KdTreeHeader, stats);
   std::uint8_t byte = 0;
   {
     std::ifstream in(path, std::ios::binary);
@@ -427,24 +391,107 @@ TEST(KdTreeIo, SaveToUnwritablePathNamesPathAndSyscall) {
   EXPECT_NE(msg.find(path), std::string::npos) << msg;
   EXPECT_NE(msg.find("open failed"), std::string::npos) << msg;
   EXPECT_NE(msg.find("No such file or directory"), std::string::npos) << msg;
-  // The legacy writer goes through the same atomic-replace path.
-  const std::string legacy = error_of([&] { tree.save_legacy_v2(path); });
-  EXPECT_NE(legacy.find("open failed"), std::string::npos) << legacy;
 }
 
-TEST(KdTreeIo, LegacyV2LoadStillRoundTrips) {
-  const auto gen = data::make_generator("uniform", 86);
-  const data::PointSet points = gen->generate_all(3000);
-  const data::PointSet queries = gen->generate_all(50);
+
+/// Rewrites the header of the kd-tree file at `path` through `edit`,
+/// then recomputes the header CRC — a corrupt header that no checksum
+/// catches, so only the structural checks stand between it and a span.
+template <typename Edit>
+void rewrite_tree_header(const std::string& path, Edit&& edit) {
+  detail::KdTreeHeader header{};
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.read(reinterpret_cast<char*>(&header), sizeof(header));
+    ASSERT_TRUE(in.good());
+  }
+  edit(header);
+  header.header_crc = 0;
+  header.header_crc = common::crc32c(&header, sizeof(header));
+  patch_file(path, 0, &header, sizeof(header));
+}
+
+TEST(KdTreeIo, CountWhoseByteSizeWrapsIsRejectedByName) {
+  const auto gen = data::make_generator("uniform", 94);
+  const data::PointSet points = gen->generate_all(1000);
   parallel::ThreadPool pool(2);
-  const KdTree original = KdTree::build(points, BuildConfig{}, pool);
-  const std::string path = ::testing::TempDir() + "/panda_tree_v2_load.kdt";
-  original.save_legacy_v2(path);
-  const KdTree loaded = KdTree::load(path);
-  EXPECT_FALSE(loaded.mapped());
-  expect_identical_queries(original, loaded, queries, 5);
+  const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
+  const std::string path = ::testing::TempDir() + "/panda_tree_wrap.kdt";
+
+  // 2^61 ids * 8 bytes = 2^64: the ids section's byte size wraps to 0
+  // and would pass a naive end-of-section bounds check. Same for the
+  // packed floats at 2^62 * 4.
+  const struct {
+    const char* field;
+    void (*patch)(detail::KdTreeHeader&);
+  } cases[] = {
+      {"'id_count'", [](detail::KdTreeHeader& h) { h.id_count = 1ull << 61; }},
+      {"'packed_count'",
+       [](detail::KdTreeHeader& h) { h.packed_count = 1ull << 62; }},
+  };
+  for (const auto& c : cases) {
+    tree.save(path);
+    rewrite_tree_header(path, c.patch);
+    for (const bool verify : {true, false}) {
+      EXPECT_NE(error_of([&] { KdTree::open_mmap(path, verify); })
+                    .find(c.field),
+                std::string::npos)
+          << c.field << " verify_sections=" << verify;
+    }
+    EXPECT_NE(error_of([&] { KdTree::load(path); }).find(c.field),
+              std::string::npos)
+        << c.field;
+    EXPECT_NE(error_of([&] { Index::open(path); }).find(c.field),
+              std::string::npos)
+        << c.field;
+  }
   std::remove(path.c_str());
 }
+
+/// A file of the current format with its version field patched: every
+/// other version, older or newer, gets the one unsupported-version
+/// diagnostic from every entry point.
+struct FormatVersionRefusal
+    : ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {};
+
+TEST_P(FormatVersionRefusal, EveryEntryPointGivesTheUnsupportedDiagnostic) {
+  const auto [kind, version] = GetParam();
+  const auto gen = data::make_generator("gmm", 95);
+  const data::PointSet points = gen->generate_all(500);
+  const std::string path = ::testing::TempDir() + "/panda_version_refusal";
+  const std::string expected = std::string(kind) == "kd-tree" ? "4" : "3";
+  const std::string want = "unsupported " + std::string(kind) + " version " +
+                           std::to_string(version) + " (expected " +
+                           expected + "); rebuild and re-save the";
+  std::vector<std::function<void()>> entry_points;
+  if (std::string(kind) == "kd-tree") {
+    parallel::ThreadPool pool(1);
+    KdTree::build(points, BuildConfig{}, pool).save(path);
+    entry_points = {[&] { KdTree::load(path); },
+                    [&] { KdTree::open_mmap(path); },
+                    [&] { KdTree::open_mmap(path, false); },
+                    [&] { Index::open(path); }};
+  } else {
+    data::save_points(points, path);
+    entry_points = {[&] { data::load_points(path); },
+                    [&] { data::MmapStorage m(path); },
+                    [&] { data::MmapStorage m(path, false); }};
+  }
+  patch_file(path, 8, &version, sizeof(version));
+  for (std::size_t e = 0; e < entry_points.size(); ++e) {
+    const std::string msg = error_of(entry_points[e]);
+    EXPECT_NE(msg.find(want), std::string::npos)
+        << "entry point " << e << ": " << msg;
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RemovedVersions, FormatVersionRefusal,
+    ::testing::Values(std::make_tuple("kd-tree", 2u),
+                      std::make_tuple("kd-tree", 3u),
+                      std::make_tuple("point file", 1u),
+                      std::make_tuple("point file", 2u)));
 
 }  // namespace
 }  // namespace panda::core

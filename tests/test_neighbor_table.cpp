@@ -1,10 +1,9 @@
 // NeighborTable + native flat-path agreement tests (DESIGN.md §9).
 //
-// The native entry points (query_sq_batch into a table, query_self_batch,
-// query_radius_batch, query_sq_into) must be id-exact against the
-// classic vector-of-vectors shims — now free functions in
-// core/compat.hpp, and this suite is the one retained shim-vs-table
-// agreement gate — across datasets, k values, and both bounded and
+// The native batch entry points (query_sq_batch into a table,
+// query_self_batch) must be id-exact against the independent
+// per-query path (KdTree::query_sq, one traversal per row with no
+// home-leaf priming) across datasets, k values, and both bounded and
 // unbounded pruning; plus the hot/cold node-layout save/load round
 // trip and the refusal of the pre-split format.
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/compat.hpp"
 #include "panda.hpp"
 
 namespace {
@@ -34,7 +32,7 @@ std::string temp_path(const std::string& name) {
 struct Agreement : ::testing::TestWithParam<
                        std::tuple<const char*, std::size_t>> {};
 
-TEST_P(Agreement, TableMatchesShimRows) {
+TEST_P(Agreement, TableMatchesPerQueryRows) {
   const auto [dataset, k] = GetParam();
   const std::uint64_t n = 4000;
   const auto gen = data::make_generator(dataset, 777);
@@ -43,19 +41,20 @@ TEST_P(Agreement, TableMatchesShimRows) {
   const core::KdTree tree =
       core::KdTree::build(points, core::BuildConfig{}, pool);
 
-  // Unbounded: native table vs vector-of-vectors shim.
+  // Unbounded: native table vs one query_sq traversal per row.
   core::NeighborTable table;
   core::BatchWorkspace ws;
   tree.query_sq_batch(points, k, pool, table, ws);
-  std::vector<std::vector<Neighbor>> shim;
-  core::compat::query_sq_batch(tree, points, k, pool, shim);
-  ASSERT_EQ(table.size(), shim.size());
+  ASSERT_EQ(table.size(), n);
+  std::vector<float> q(points.dims());
   for (std::uint64_t i = 0; i < n; ++i) {
+    points.copy_point(i, q.data());
+    const auto expected = tree.query_sq(q, k, kInf);
     const auto row = table[i];
-    ASSERT_EQ(row.size(), shim[i].size()) << "query " << i;
+    ASSERT_EQ(row.size(), expected.size()) << "query " << i;
     for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_EQ(row[j].id, shim[i][j].id) << "query " << i << " pos " << j;
-      EXPECT_EQ(row[j].dist2, shim[i][j].dist2);
+      EXPECT_EQ(row[j].id, expected[j].id) << "query " << i << " pos " << j;
+      EXPECT_EQ(row[j].dist2, expected[j].dist2);
     }
   }
 
@@ -74,7 +73,7 @@ TEST_P(Agreement, TableMatchesShimRows) {
   }
 
   // Radius-bounded: per-query (r'², k-th id) bounds exactly as the
-  // distributed remote stage uses them — table vs shim.
+  // distributed remote stage uses them — table vs per-query path.
   std::vector<float> radius2s(n);
   std::vector<std::uint64_t> bound_ids(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -84,22 +83,22 @@ TEST_P(Agreement, TableMatchesShimRows) {
   }
   core::NeighborTable bounded;
   tree.query_sq_batch(points, k, pool, bounded, ws, radius2s, bound_ids);
-  std::vector<std::vector<Neighbor>> bounded_shim;
-  core::compat::query_sq_batch(tree, points, k, pool, bounded_shim,
-                               radius2s, bound_ids);
   for (std::uint64_t i = 0; i < n; ++i) {
+    points.copy_point(i, q.data());
+    const auto expected =
+        tree.query_sq(q, k, radius2s[i], core::TraversalPolicy::Exact,
+                      nullptr, bound_ids[i]);
     const auto row = bounded[i];
-    ASSERT_EQ(row.size(), bounded_shim[i].size()) << "query " << i;
+    ASSERT_EQ(row.size(), expected.size()) << "query " << i;
     for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_EQ(row[j].id, bounded_shim[i][j].id);
-      EXPECT_EQ(row[j].dist2, bounded_shim[i][j].dist2);
+      EXPECT_EQ(row[j].id, expected[j].id);
+      EXPECT_EQ(row[j].dist2, expected[j].dist2);
     }
   }
 
-  // Single-query native vs shim.
+  // Single-query native (caller workspace) vs the vector return.
   core::QueryWorkspace qws;
   std::vector<Neighbor> out(k);
-  std::vector<float> q(points.dims());
   for (std::uint64_t i = 0; i < 64; ++i) {
     points.copy_point(i * (n / 64), q.data());
     const std::size_t count = tree.query_sq_into(q, k, kInf, qws, out);

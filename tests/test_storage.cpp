@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "data/file_format.hpp"
@@ -123,15 +124,15 @@ TEST(Storage, MmapRefusesLegacyV1WithResaveHint) {
     out.write(reinterpret_cast<const char*>(ids), sizeof(ids));
     out.write(reinterpret_cast<const char*>(coords), sizeof(coords));
   }
-  // load_points still reads it into owned memory...
-  const PointSet loaded = load_points(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.id(1), 8u);
-  EXPECT_FLOAT_EQ(loaded.at(2, 1), 0.6f);
-  // ...but the zero-copy view refuses, naming the fix.
-  const std::string msg = error_of([&] { MmapStorage m(path); });
-  EXPECT_NE(msg.find("v1"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("re-save"), std::string::npos) << msg;
+  // The zero-copy view refuses, naming the fix — and so does
+  // load_points, which reads through the same view.
+  for (const std::string& msg :
+       {error_of([&] { MmapStorage m(path); }),
+        error_of([&] { load_points(path); })}) {
+    EXPECT_NE(msg.find("unsupported point file version 1"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("re-save"), std::string::npos) << msg;
+  }
   std::remove(path.c_str());
 }
 
@@ -139,7 +140,7 @@ TEST(Storage, HeaderValidationNamesTheOffendingField) {
   const PointSet points = make_points(100);
   const std::string path = ::testing::TempDir() + "/panda_points_bad.pts";
 
-  // Bad magic: "not a point file", from both readers.
+  // Bad magic: "not a point file", from both entry points.
   save_points(points, path);
   const std::uint64_t garbage = 0xdeadbeefdeadbeefULL;
   patch_file(path, 0, &garbage, 8);
@@ -188,8 +189,8 @@ TEST(Storage, HeaderValidationNamesTheOffendingField) {
   EXPECT_NE(error_of([&] { MmapStorage m(path); }).find("'file_size'"),
             std::string::npos);
 
-  // Misaligned ids_off (offset 24): v2 is the aligned revision, so
-  // both readers enforce the 64-byte contract.
+  // Misaligned ids_off (offset 24): both entry points enforce the
+  // 64-byte contract.
   save_points(points, path);
   const std::uint64_t odd_off = 65;
   patch_file(path, 24, &odd_off, 8);
@@ -259,9 +260,9 @@ TEST(Storage, ChunkedRoundTripsRoutedPoints) {
   EXPECT_FALSE(probe.good());
 }
 
-/// First 128 bytes of a saved v3 point file.
-detail::PointsHeaderV3 read_points_header(const std::string& path) {
-  detail::PointsHeaderV3 header{};
+/// The header of a saved point file.
+detail::PointsHeader read_points_header(const std::string& path) {
+  detail::PointsHeader header{};
   std::ifstream in(path, std::ios::binary);
   in.read(reinterpret_cast<char*>(&header), sizeof(header));
   return header;
@@ -282,7 +283,7 @@ TEST(Storage, EveryFlippedPointFileSectionByteIsCaughtAndNamed) {
   const PointSet points = make_points(500);
   const std::string path = ::testing::TempDir() + "/panda_points_flip.pts";
   save_points(points, path);
-  const detail::PointsHeaderV3 header = read_points_header(path);
+  const detail::PointsHeader header = read_points_header(path);
   ASSERT_EQ(header.version, 3u);
 
   const struct {
@@ -320,13 +321,36 @@ TEST(Storage, FlippedPointFileHeaderByteFailsHeaderChecksum) {
   // The reserved field is not structurally validated — only the
   // header CRC can catch it, and it must do so even with section
   // verification off (the header is always checked).
-  flip_file_byte(path, offsetof(detail::PointsHeaderV3, reserved));
+  flip_file_byte(path, offsetof(detail::PointsHeader, reserved));
   for (const bool verify : {true, false}) {
     const std::string msg = error_of([&] { MmapStorage m(path, verify); });
     EXPECT_NE(msg.find("point file header checksum mismatch"),
               std::string::npos)
         << "verify_sections=" << verify << ": " << msg;
   }
+  std::remove(path.c_str());
+}
+
+TEST(Storage, CountWhoseByteSizeWrapsIsRejectedByName) {
+  // A 10-point file claiming 2^62 points: count * 4 and count * 8 both
+  // wrap u64 to 0, so a naive layout check would pass and hand out a
+  // 2^62-element span. The header CRC is recomputed so only the
+  // structural checks can catch it.
+  const PointSet points = make_points(10);
+  const std::string path = ::testing::TempDir() + "/panda_points_wrap.pts";
+  save_points(points, path);
+  detail::PointsHeader header = read_points_header(path);
+  header.count = 1ull << 62;
+  header.header_crc = 0;
+  header.header_crc = common::crc32c(&header, sizeof(header));
+  patch_file(path, 0, &header, sizeof(header));
+  for (const bool verify : {true, false}) {
+    EXPECT_NE(error_of([&] { MmapStorage m(path, verify); }).find("'count'"),
+              std::string::npos)
+        << "verify_sections=" << verify;
+  }
+  EXPECT_NE(error_of([&] { load_points(path); }).find("'count'"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 
