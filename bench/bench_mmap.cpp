@@ -25,10 +25,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -68,24 +66,6 @@ struct SizePoint {
   double verified_open_ms = 0.0; // + one streaming pass of section CRCs
   double load_ms = 0.0;          // verified open + copy to owned memory
 };
-
-/// "<cpu model>, <n> hardware threads" — recorded with the numbers
-/// so a checked-in JSON names the machine it was measured on.
-std::string host_description() {
-  std::string model = "unknown cpu";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        model = line.substr(colon + 2);
-      }
-      break;
-    }
-  }
-  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
-         " hardware threads";
-}
 
 double best_of_ms(int passes, auto&& fn) {
   double best = 1e300;
@@ -213,7 +193,8 @@ int main(int argc, char** argv) {
   FILE* json = std::fopen("BENCH_mmap.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"bench\": \"mmap_open\",\n");
-    std::fprintf(json, "  \"host\": \"%s\",\n", host_description().c_str());
+    std::fprintf(json, "  \"host\": \"%s\",\n",
+                 bench::host_description().c_str());
     std::fprintf(json, "  \"k\": %zu,\n  \"queries\": %" PRIu64 ",\n", k,
                  n_queries);
     std::fprintf(json, "  \"open_sweep\": [\n");

@@ -295,10 +295,8 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig per_call;
   per_call.max_batch = 1;
-  per_call.flush_window = std::chrono::microseconds(0);
   serve::ServeConfig batched;
   batched.max_batch = 64;
-  batched.flush_window = std::chrono::microseconds(200);
 
   // Warm-up (first-touch of the packed tree), untimed.
   {
@@ -479,8 +477,9 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "  \"context\": {\"points\": %" PRIu64
                  ", \"clients\": %d, \"requests_per_client\": %d, "
-                 "\"k\": %zu, \"pool_threads\": %d},\n",
-                 n, clients, per_client, k, pool->size());
+                 "\"k\": %zu, \"pool_threads\": %d, \"host\": \"%s\"},\n",
+                 n, clients, per_client, k, pool->size(),
+                 bench::host_description().c_str());
     const auto emit_loop = [&](const char* name, const LoopResult& r,
                                const char* tail) {
       std::fprintf(json,

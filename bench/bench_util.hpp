@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -114,6 +116,24 @@ inline std::string human_count(std::uint64_t n) {
                   static_cast<unsigned long long>(n));
   }
   return buffer;
+}
+
+/// "<cpu model>, <n> hardware threads" — recorded with the numbers
+/// so a checked-in JSON names the machine it was measured on.
+inline std::string host_description() {
+  std::string model = "unknown cpu";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        model = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads";
 }
 
 }  // namespace panda::bench

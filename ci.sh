@@ -48,6 +48,16 @@
 #                      distributed index session, and the mutable
 #                      tier's merge thread + COW snapshot publishing
 #                      (readers racing insert/erase/seal/merge).
+#   ci.sh stress     — determinism check: builds the serving and
+#                      admission-ring suites and reruns them with
+#                      ctest --repeat until-fail:50, so an assertion
+#                      that depends on thread timing fails here rather
+#                      than as a rare tier-1 flake. test_crash_recovery,
+#                      test_mutable_index and test_wal join the set
+#                      once the mutable index's seal-exit race is fixed
+#                      (ROADMAP item 1); today a pending background seal
+#                      is abandoned at exit, so their failpoints do not
+#                      always fire.
 #   ci.sh bench-smoke — Release build of the perf harnesses
 #                      (bench_hotpath, bench_serve, bench_facade,
 #                      bench_mmap, bench_mutable) run at tiny sizes
@@ -239,6 +249,15 @@ if [[ "$MODE" == "tsan" ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == "stress" ]]; then
+  cmake -B build -S .
+  cmake --build build -j --target test_serve test_mpmc_queue
+  (cd build && ctest --output-on-failure --repeat until-fail:50 \
+    -R '^(test_serve|test_mpmc_queue)$' --timeout 900)
+  echo "ci.sh: stress OK"
+  exit 0
+fi
+
 bench_smoke() {
   cmake -B build -S .
   cmake --build build -j --target bench_hotpath bench_serve bench_facade \
@@ -272,7 +291,7 @@ if [[ "$MODE" == "bench-smoke" ]]; then
 fi
 
 if [[ "$MODE" != "default" ]]; then
-  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|tsan|bench-smoke]" >&2
+  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|tsan|stress|bench-smoke]" >&2
   exit 1
 fi
 

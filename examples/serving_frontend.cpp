@@ -158,16 +158,14 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig config;
   config.max_batch = 64;
-  config.flush_window = std::chrono::microseconds(300);
   config.queue_capacity = 4096;
   config.workers = 1;
   config.shards = shards;
   serve::QueryService service(backend, config);
   std::printf("serving %" PRIu64 " points (k=%zu) to %d clients for "
-              "~%ds; micro-batch <= %zu, window %lld us, %d shard%s\n",
-              n, k, clients, seconds, config.max_batch,
-              static_cast<long long>(config.flush_window.count()),
-              shards, shards == 1 ? "" : "s");
+              "~%ds; micro-batch <= %zu, %d shard%s\n",
+              n, k, clients, seconds, config.max_batch, shards,
+              shards == 1 ? "" : "s");
 
   // ------------------------------------------------------------------
   // Client traffic: 3 KNN requests to 1 radius request.
@@ -308,7 +306,7 @@ int main(int argc, char** argv) {
               stats.latency.p99_us, stats.latency.p999_us,
               stats.latency.max_us);
   std::printf("  batching:   %" PRIu64 " batches, mean size %.1f "
-              "(%" PRIu64 " size-flush, %" PRIu64 " window-flush)\n",
+              "(%" PRIu64 " full, %" PRIu64 " underfull: queue ran dry)\n",
               stats.batches, stats.mean_batch_size, stats.flushes_on_size,
               stats.flushes_on_window);
   std::printf("  queue:      depth high-water %" PRIu64 " (capacity %zu), "

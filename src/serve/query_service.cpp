@@ -314,60 +314,48 @@ bool QueryService::acquire_first(Shard& shard, Pending& out) {
   }
 }
 
-QueryService::FlushReason QueryService::collect_rest(
-    Shard& shard, std::vector<Pending>& batch) {
-  // The deadline is anchored at the *oldest* request in the batch, so
-  // no request waits longer than flush_window for co-batched company.
-  const auto deadline = batch.front().enqueued + config_.flush_window;
-  unsigned spins = 0;
+bool QueryService::collect_rest(Shard& shard, Pending& slot,
+                                std::vector<Pending>& batch) {
+  // Work-conserving: take only what is already queued. Under load the
+  // ring refills while the previous batch runs, so batches still reach
+  // max_batch; at light load a lone request runs at once instead of
+  // idling the worker while it waits for company.
   while (batch.size() < config_.max_batch) {
-    Pending next;
-    if (shard_pop(shard, next)) {
-      batch.push_back(std::move(next));
-      spins = 0;
-      continue;
-    }
-    // order: acquire — same drain handshake as acquire_first().
-    if (drain_.load(std::memory_order_acquire)) return FlushReason::Drain;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return FlushReason::Window;
-    if (spins < 64) {
-      ++spins;
-      parallel::cpu_relax();
-    } else {
-      // Sleep toward the deadline in small slices so a drain or a
-      // filling batch is noticed promptly even under long windows.
-      std::this_thread::sleep_for(std::min<
-          std::chrono::steady_clock::duration>(
-          deadline - now, std::chrono::microseconds(100)));
-    }
+    if (!shard_pop(shard, slot)) return false;
+    batch.push_back(std::move(slot));
   }
-  return FlushReason::Size;
+  return true;
 }
 
 void QueryService::worker_loop(Shard& shard) {
+  // Reused across batches: at light load a batch is one request, so a
+  // per-batch allocation would be a per-request one. `slot` is popped
+  // into and moved out of; once moved-from its promise holds no state,
+  // so refilling it never allocates.
   std::vector<Pending> batch;
+  std::vector<Request> requests;
+  std::vector<Result> results;
   batch.reserve(config_.max_batch);
+  requests.reserve(config_.max_batch);
+  Pending slot;
   for (;;) {
-    Pending first;
-    if (!acquire_first(shard, first)) return;
+    if (!acquire_first(shard, slot)) return;
     batch.clear();
-    batch.push_back(std::move(first));
-    const FlushReason reason = collect_rest(shard, batch);
-    execute(shard, batch, reason);
+    batch.push_back(std::move(slot));
+    const bool full = collect_rest(shard, slot, batch);
+    execute(shard, batch, full, requests, results);
   }
 }
 
 void QueryService::execute(Shard& shard, std::vector<Pending>& batch,
-                           FlushReason reason) {
+                           bool full, std::vector<Request>& requests,
+                           std::vector<Result>& results) {
   // Pin the shard's snapshot for exactly this batch (swap-safe).
   std::shared_ptr<Backend> backend = shard.backend.load();
 
-  std::vector<Request> requests;
-  requests.reserve(batch.size());
+  requests.clear();
   for (Pending& p : batch) requests.push_back(std::move(p.request));
 
-  std::vector<Result> results;
   std::exception_ptr error;
   try {
     backend->run_batch(requests, results);
@@ -412,17 +400,8 @@ void QueryService::execute(Shard& shard, std::vector<Pending>& batch,
       static_cast<std::size_t>(std::bit_width(batch.size()) - 1));
   batch_size_log2_[bucket].fetch_add(1, std::memory_order_relaxed);
   // order: relaxed — flush-reason stats counters, same contract.
-  switch (reason) {
-    case FlushReason::Size:
-      flushes_on_size_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FlushReason::Window:
-      flushes_on_window_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FlushReason::Drain:
-      flushes_on_drain_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+  (full ? flushes_on_size_ : flushes_underfull_)
+      .fetch_add(1, std::memory_order_relaxed);
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (error) {
@@ -473,8 +452,7 @@ ServeStats QueryService::stats() const {
   out.failed = failed_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.flushes_on_size = flushes_on_size_.load(std::memory_order_relaxed);
-  out.flushes_on_window = flushes_on_window_.load(std::memory_order_relaxed);
-  out.flushes_on_drain = flushes_on_drain_.load(std::memory_order_relaxed);
+  out.flushes_on_window = flushes_underfull_.load(std::memory_order_relaxed);
   out.swaps = swaps_.load(std::memory_order_relaxed);
   out.ingest_batches = ingest_batches_.load(std::memory_order_relaxed);
   out.ingested_points = ingested_points_.load(std::memory_order_relaxed);

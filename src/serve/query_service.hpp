@@ -3,11 +3,10 @@
 // QueryService turns the repository's batch engines into an online
 // service: many client threads submit individual KNN / radius
 // requests; requests are admitted into per-shard lock-free queues,
-// dynamically micro-batched (flush when the batch reaches max_batch or
-// when flush_window has elapsed since the oldest queued request,
-// whichever first), executed on per-shard worker threads through a
-// Backend snapshot, and completed through per-request futures with
-// latency accounting.
+// micro-batched work-conservingly (a worker takes whatever is already
+// queued, up to max_batch, and never waits for more), executed on
+// per-shard worker threads through a Backend snapshot, and completed
+// through per-request futures with latency accounting.
 //
 //   clients ──submit──▶ shard 0: MPMC ring ──collect──▶ micro-batch
 //        ◀──future────  shard 1: MPMC ring ◀──execute── Backend
@@ -28,7 +27,10 @@
 // queue handoff, and cache-cold descent for every query; one batched
 // kernel call amortizes all three across the batch (the ParlayANN /
 // KNN-join observation — throughput lives in hardware-friendly
-// batches). bench_serve measures the win.
+// batches). Batches form from the backlog that builds while the
+// previous batch runs, so they fill under load; an idle worker never
+// holds a request back waiting for company, so light traffic pays no
+// batching latency. bench_serve measures the win.
 //
 // Index swap (rebuild-behind-traffic): each shard holds the served
 // Backend in a std::atomic<std::shared_ptr>. Workers pin their shard's
@@ -66,12 +68,9 @@
 namespace panda::serve {
 
 struct ServeConfig {
-  /// Flush a batch as soon as it holds this many requests.
+  /// Largest batch a worker takes from its shard's queue. A worker
+  /// takes whatever is queued up to this bound and runs it at once.
   std::size_t max_batch = 64;
-  /// ... or when this much time has passed since the oldest queued
-  /// request (latency bound under light traffic). Zero flushes
-  /// immediately with whatever is queued.
-  std::chrono::microseconds flush_window{200};
   /// Admission bound across ALL shards (backpressure trigger). Each
   /// shard enforces ceil(queue_capacity / shards).
   std::size_t queue_capacity = 4096;
@@ -148,8 +147,6 @@ class QueryService {
   ServeStats stats() const;
 
  private:
-  enum class FlushReason { Size, Window, Drain };
-
   /// Service lifecycle (atomic state machine, DESIGN.md §8):
   /// Running —shutdown()→ Draining (admission closed, in-flight
   /// admissions settling, workers still serving) → drain_ raised
@@ -190,11 +187,14 @@ class QueryService {
   /// Blocks (spin, then park) until a first request is popped. Returns
   /// false when draining and the shard's queue is empty (worker exit).
   bool acquire_first(Shard& shard, Pending& out);
-  /// Fills `batch` (which holds its first request) until max_batch,
-  /// flush_window past the first request, or drain.
-  FlushReason collect_rest(Shard& shard, std::vector<Pending>& batch);
-  void execute(Shard& shard, std::vector<Pending>& batch,
-               FlushReason reason);
+  /// Tops up `batch` (which holds its first request) with whatever
+  /// the shard already queues, popping through `slot`; returns true
+  /// when the batch reached max_batch, false when the queue ran dry.
+  bool collect_rest(Shard& shard, Pending& slot, std::vector<Pending>& batch);
+  /// Runs one batch; `requests` and `results` are the worker's reused
+  /// staging vectors.
+  void execute(Shard& shard, std::vector<Pending>& batch, bool full,
+               std::vector<Request>& requests, std::vector<Result>& results);
   /// Core admission; returns false when rejected (full or stopped).
   bool admit(Request&& request, std::future<Result>* out, bool blocking);
   /// Bounded push onto one shard; false when that shard is at
@@ -233,8 +233,7 @@ class QueryService {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> flushes_on_size_{0};
-  std::atomic<std::uint64_t> flushes_on_window_{0};
-  std::atomic<std::uint64_t> flushes_on_drain_{0};
+  std::atomic<std::uint64_t> flushes_underfull_{0};
   std::atomic<std::uint64_t> swaps_{0};
   std::atomic<std::uint64_t> ingest_batches_{0};
   std::atomic<std::uint64_t> ingested_points_{0};

@@ -72,9 +72,9 @@ struct ServeStats {
 
   // Micro-batching.
   std::uint64_t batches = 0;
-  std::uint64_t flushes_on_size = 0;    // batch reached max_batch
-  std::uint64_t flushes_on_window = 0;  // flush_window elapsed first
-  std::uint64_t flushes_on_drain = 0;   // shutdown drained the queue
+  std::uint64_t flushes_on_size = 0;  // batch reached max_batch
+  /// Flushed below max_batch because the ring was empty.
+  std::uint64_t flushes_on_window = 0;
   /// batch_size_log2[b] counts batches with size in [2^b, 2^(b+1)).
   std::vector<std::uint64_t> batch_size_log2;
   double mean_batch_size = 0.0;

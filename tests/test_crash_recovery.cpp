@@ -348,7 +348,7 @@ TEST_F(CrashRecoveryTest, KilledAtGroupCommitFsync) {
 TEST_F(CrashRecoveryTest, KilledDuringTreeSaveAndManifestCommit) {
   // atomic_file.* sites fire inside the background seal: the tree
   // save's writes/fsync and the manifest's atomic replace.
-  for (const std::string site :
+  for (const std::string& site :
        {std::string("atomic_file.write=abort@0"),
         std::string("atomic_file.write=abort@1"),
         std::string("atomic_file.write=abort@5"),

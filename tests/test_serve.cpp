@@ -1,9 +1,10 @@
 // The serving frontend (src/serve): concurrent mixed-kind clients
 // pinned id-exact against the brute-force oracle, mid-traffic index
-// snapshot swaps, micro-batch flush logic (size / window / drain),
-// bounded-queue backpressure in both overflow policies, the
-// distributed backend, and the latency histogram. The concurrency
-// tests here are the ones ci.sh tsan runs under ThreadSanitizer.
+// snapshot swaps, work-conserving micro-batch flushes (full, underfull,
+// shutdown drain), bounded-queue backpressure in both overflow
+// policies, the distributed backend, and the latency histogram. The
+// concurrency tests here are the ones ci.sh tsan runs under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,7 +136,6 @@ TEST(Serve, MixedConcurrentClientsAgreeWithOracle) {
 
   ServeConfig config;
   config.max_batch = 16;
-  config.flush_window = std::chrono::microseconds(300);
   config.workers = 2;
   QueryService service(f.backend, config);
 
@@ -188,16 +188,17 @@ TEST(Serve, MixedConcurrentClientsAgreeWithOracle) {
 
 // Mixed k values inside one batch exercise the k_max-then-truncate
 // normalization; duplicate-heavy data makes any tie-order slip show up
-// as an id mismatch.
+// as an id mismatch. The first request stalls the worker so the other
+// 23 queue behind it and co-batch: batches of 1, 8, 8 and 7.
 TEST(Serve, TieHeavyMixedKBatchesStayIdExact) {
   const std::uint64_t n = 1200;
   Fixture f = make_fixture("dupes", n, 7);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   const auto qgen = data::make_generator("dupes", 7);
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::milliseconds(50);
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   std::vector<Request> sent;
   std::vector<std::future<Result>> futures;
@@ -207,10 +208,15 @@ TEST(Serve, TieHeavyMixedKBatchesStayIdExact) {
         Request::knn(std::move(q), 1 + static_cast<std::size_t>(j % 8));
     sent.push_back(request);
     futures.push_back(service.submit(std::move(request)));
+    if (j == 0) stall->wait_entered(1);
   }
+  stall->open();
   for (std::size_t j = 0; j < futures.size(); ++j) {
     EXPECT_EQ(futures[j].get(), oracle_for(f.points, sent[j])) << j;
   }
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.flushes_on_size, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -240,7 +246,6 @@ TEST(Serve, MidTrafficSwapServesExactlyOneSnapshotPerRequest) {
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::microseconds(200);
   config.workers = 2;
   QueryService service(backend_a, config);
   backend_a.reset();  // the service (and in-flight batches) own it now
@@ -311,76 +316,92 @@ TEST(Serve, MidTrafficSwapServesExactlyOneSnapshotPerRequest) {
 // Micro-batch flush logic
 // ---------------------------------------------------------------------
 
-TEST(Serve, WindowFlushCompletesUnderfullBatches) {
+// Collection is work-conserving: a worker never waits for company, so
+// a lone request flushes underfull at once however large max_batch is.
+TEST(Serve, LoneRequestsFlushUnderfullAtOnce) {
   Fixture f = make_fixture("gmm", 500, 11);
   ServeConfig config;
   config.max_batch = 1000;  // size flush unreachable
-  config.flush_window = std::chrono::milliseconds(2);
   QueryService service(f.backend, config);
 
   const auto qgen = data::make_generator("gmm", 11);
-  std::vector<Request> sent;
-  std::vector<std::future<Result>> futures;
   for (int j = 0; j < 3; ++j) {
     Request request = Request::knn(
         query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 4);
-    sent.push_back(request);
-    futures.push_back(service.submit(std::move(request)));
-  }
-  for (std::size_t j = 0; j < futures.size(); ++j) {
-    EXPECT_EQ(futures[j].get(), oracle_for(f.points, sent[j])) << j;
+    EXPECT_EQ(service.submit(request).get(), oracle_for(f.points, request))
+        << j;
   }
   const ServeStats stats = service.stats();
   EXPECT_EQ(stats.completed, 3u);
-  EXPECT_GE(stats.flushes_on_window, 1u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.flushes_on_window, 3u);
   EXPECT_EQ(stats.flushes_on_size, 0u);
 }
 
+// Requests that queue while the worker is busy form full batches: one
+// stalled request, then 8 queued behind it with max_batch 4, run as
+// batches of exactly 1, 4 and 4.
 TEST(Serve, SizeFlushFormsFullBatches) {
   Fixture f = make_fixture("gmm", 500, 12);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 4;
-  config.flush_window = std::chrono::seconds(60);  // window unreachable
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 12);
   std::vector<std::future<Result>> futures;
-  for (int j = 0; j < 8; ++j) {
+  for (int j = 0; j < 9; ++j) {
     futures.push_back(service.submit(Request::knn(
         query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 2)));
+    if (j == 0) stall->wait_entered(1);
   }
-  for (auto& future : futures) future.get();
+  stall->open();
+  for (auto& future : futures) EXPECT_FALSE(future.get().empty());
 
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, 9u);
+  EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.flushes_on_size, 2u);
-  EXPECT_EQ(stats.flushes_on_window, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 4.0);
+  EXPECT_EQ(stats.flushes_on_window, 1u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 3.0);
   ASSERT_GT(stats.batch_size_log2.size(), 2u);
+  EXPECT_EQ(stats.batch_size_log2[0], 1u);  // the stalled lone request
   EXPECT_EQ(stats.batch_size_log2[2], 2u);  // two batches of size 4
 }
 
+// Requests still queued when shutdown() starts are drained, not
+// dropped: the worker is stalled on the first request while 4 more
+// queue, and the gate opens from another thread while shutdown() waits
+// on the stalled worker.
 TEST(Serve, ShutdownDrainsAdmittedRequests) {
   Fixture f = make_fixture("gmm", 500, 13);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1000;
-  config.flush_window = std::chrono::seconds(60);
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 13);
   std::vector<std::future<Result>> futures;
   for (int j = 0; j < 5; ++j) {
     futures.push_back(service.submit(Request::knn(
         query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 3)));
+    if (j == 0) stall->wait_entered(1);
   }
+  // shutdown() joins the stalled worker, so the gate opens from another
+  // thread; the delay lets shutdown() close admission first. Either
+  // way the 4 queued requests form one batch.
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stall->open();
+  });
   service.shutdown();
+  opener.join();
   for (auto& future : futures) {
     EXPECT_FALSE(future.get().empty());  // drained, not dropped
   }
   const ServeStats stats = service.stats();
   EXPECT_EQ(stats.completed, 5u);
-  EXPECT_GE(stats.flushes_on_drain, 1u);
+  EXPECT_EQ(stats.batches, 2u);
 
   // The stopped service rejects new work explicitly.
   EXPECT_THROW(service.submit(Request::knn(query_point(*qgen, 600), 1)),
@@ -399,7 +420,6 @@ TEST(Serve, RejectPolicyShedsLoadWhenQueueIsFull) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 2;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 2;
   config.overflow = ServeConfig::Overflow::Reject;
   QueryService service(stall, config);
@@ -444,7 +464,6 @@ TEST(Serve, BlockPolicyStallsSubmittersInsteadOfShedding) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 1;
   config.overflow = ServeConfig::Overflow::Block;
   QueryService service(stall, config);
@@ -503,7 +522,6 @@ TEST(Serve, ShardSweepStaysIdExactAcrossShardCounts) {
   for (const int shards : {1, 2, 4}) {
     ServeConfig config;
     config.max_batch = 8;
-    config.flush_window = std::chrono::microseconds(300);
     config.shards = shards;
     QueryService service(f.backend, config);
 
@@ -560,7 +578,6 @@ TEST(Serve, SwapStagesAcrossAllShards) {
 
   ServeConfig config;
   config.max_batch = 4;
-  config.flush_window = std::chrono::microseconds(200);
   config.shards = 4;
   QueryService service(backend_a, config);
   backend_a.reset();
@@ -598,7 +615,6 @@ TEST(Serve, RejectPolicyShedsAcrossStalledShards) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 2;  // 1 per shard
   config.shards = 2;
   config.overflow = ServeConfig::Overflow::Reject;
@@ -643,7 +659,6 @@ TEST(Serve, BlockPolicyParksWhenEveryShardIsFull) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 2;  // 1 per shard
   config.shards = 2;
   config.overflow = ServeConfig::Overflow::Block;
@@ -686,7 +701,6 @@ TEST(Serve, ShutdownIsIdempotentAndSafeUnderConcurrentCalls) {
   Fixture f = make_fixture("gmm", 500, 25);
   ServeConfig config;
   config.max_batch = 4;
-  config.flush_window = std::chrono::seconds(60);
   config.shards = 2;
   QueryService service(f.backend, config);
 
@@ -735,7 +749,6 @@ TEST(Serve, DistBackendServesMixedTrafficExactly) {
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::milliseconds(1);
   QueryService service(backend, config);
 
   const auto qgen = data::make_generator("cosmo", 98);
