@@ -48,16 +48,17 @@
 #                      distributed index session, and the mutable
 #                      tier's merge thread + COW snapshot publishing
 #                      (readers racing insert/erase/seal/merge).
-#   ci.sh stress     — determinism check: builds the serving and
-#                      admission-ring suites and reruns them with
-#                      ctest --repeat until-fail:50, so an assertion
-#                      that depends on thread timing fails here rather
-#                      than as a rare tier-1 flake. test_crash_recovery,
-#                      test_mutable_index and test_wal join the set
-#                      once the mutable index's seal-exit race is fixed
-#                      (ROADMAP item 1); today a pending background seal
-#                      is abandoned at exit, so their failpoints do not
-#                      always fire.
+#   ci.sh stress     — determinism check: builds the serving,
+#                      admission-ring and mutable-tier suites
+#                      (test_serve, test_mpmc_queue,
+#                      test_crash_recovery, test_mutable_index,
+#                      test_wal) and reruns them with ctest --repeat
+#                      until-fail:50, so an assertion that depends on
+#                      thread timing fails here rather than as a rare
+#                      tier-1 flake. The crash schedules are
+#                      deterministic because ~MutableIndex drains its
+#                      background lanes before stopping them: every
+#                      failpoint on a seal or merge site fires.
 #   ci.sh bench-smoke — Release build of the perf harnesses
 #                      (bench_hotpath, bench_serve, bench_facade,
 #                      bench_mmap, bench_mutable) run at tiny sizes
@@ -251,9 +252,11 @@ fi
 
 if [[ "$MODE" == "stress" ]]; then
   cmake -B build -S .
-  cmake --build build -j --target test_serve test_mpmc_queue
+  cmake --build build -j --target test_serve test_mpmc_queue \
+    test_crash_recovery test_mutable_index test_wal
   (cd build && ctest --output-on-failure --repeat until-fail:50 \
-    -R '^(test_serve|test_mpmc_queue)$' --timeout 900)
+    -R '^(test_serve|test_mpmc_queue|test_crash_recovery|test_mutable_index|test_wal)$' \
+    --timeout 900)
   echo "ci.sh: stress OK"
   exit 0
 fi

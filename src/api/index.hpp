@@ -152,8 +152,9 @@ struct SearchParams {
   /// the radius_into convenience overload. Default unbounded.
   float radius = std::numeric_limits<float>::infinity();
   /// Traversal pruning policy, honored by the kd-tree engines (Local
-  /// and Dist forward it; the baseline adapters are always exact).
-  /// The default is the only policy with an exactness guarantee.
+  /// and Dist forward it; the Mutable and baseline adapters are always
+  /// exact). The default is the only policy with an exactness
+  /// guarantee.
   core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
@@ -185,8 +186,8 @@ struct SearchWorkspace {
   core::BatchWorkspace batch;
   /// Uniform-radius staging of the radius_into convenience overload.
   std::vector<float> radii;
-  /// Forest-query scratch of the Mutable adapter (per-tree tables,
-  /// buffer-scan heap, merge staging). Untouched by other adapters.
+  /// Forest-query scratch of the Mutable adapter (per-thread
+  /// traversal, heap and radius staging). Untouched by other adapters.
   core::ForestWorkspace forest;
 };
 

@@ -34,7 +34,7 @@ class MutableIndexAdapter final : public Index {
   void knn_into(const data::PointSet& queries, const SearchParams& params,
                 core::NeighborTable& results, SearchWorkspace& ws) override {
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
-    core_->knn_batch(queries, params.k, results, ws.forest, params.policy);
+    core_->knn_batch(queries, params.k, results, ws.forest);
     if (params.radius != std::numeric_limits<float>::infinity()) {
       // The forest merge has no per-query pruning-bound plumbing;
       // rows are ascending, so the strict prefix is the exact answer.

@@ -20,6 +20,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "core/batch_dispatch.hpp"
 #include "core/kdtree.hpp"
 #include "parallel/parallel_for.hpp"
 #include "simd/distance.hpp"
@@ -51,46 +52,6 @@ std::size_t strip_radius_sentinels(const Neighbor* row, std::size_t count,
     --count;
   }
   return count;
-}
-
-/// Dynamic-scheduling grain: caps at `max_grain` (the classic 64/256)
-/// but splits small batches across the pool so a 64-request serving
-/// batch does not serialize onto one thread.
-std::uint64_t batch_grain(std::uint64_t n, int threads,
-                          std::uint64_t max_grain) {
-  const std::uint64_t target =
-      n / (static_cast<std::uint64_t>(threads) * 4 + 1);
-  return std::clamp<std::uint64_t>(target, 1, max_grain);
-}
-
-/// Batches at or below this size run inline on the caller thread: a
-/// pool fan-out (wake + join of every worker) costs more than the
-/// queries themselves at serving-frontend micro-batch sizes, and the
-/// chunk scheduling is identical either way (the caller is pool
-/// thread 0).
-constexpr std::uint64_t kInlineBatchThreshold = 64;
-
-/// Radius queries use a lower inline cutoff: a single fixed-radius
-/// scan visits many buckets and returns unbounded rows, so a
-/// micro-batch of them is heavy enough to be worth the fan-out.
-constexpr std::uint64_t kInlineRadiusThreshold = 16;
-
-/// Dispatches the chunk-scheduling body either across the pool or —
-/// for batches at or below `inline_threshold` and for size-1 pools —
-/// inline on the caller. A busy pool (another caller mid-fan-out, e.g.
-/// a different serving shard's batch) also runs inline: the body
-/// self-schedules chunks, so one invocation covers the whole range,
-/// and scanning on this core beats sleeping behind someone else's
-/// kernel (DESIGN.md §8).
-template <typename Body>
-void dispatch_batch(parallel::ThreadPool& pool, std::uint64_t n,
-                    const Body& body,
-                    std::uint64_t inline_threshold = kInlineBatchThreshold) {
-  if (n <= inline_threshold || pool.size() == 1) {
-    body(0);
-    return;
-  }
-  if (!pool.try_run(body)) body(0);
 }
 
 }  // namespace

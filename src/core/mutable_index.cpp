@@ -5,11 +5,11 @@
 // state (runs, sealed groups, forest, live-id set); every mutation
 // ends by publishing a fresh immutable Snapshot through one
 // atomic<shared_ptr> store, and queries only ever touch that snapshot.
-// The merge thread claims work under the lock (copying the claimed
-// Run/TreeShard values, whose payloads are immutable shared state),
-// builds the replacement tree outside the lock, and re-locks only to
-// splice the forest and publish. Erases that land while a merge is in
-// flight COW the *current* containers; at publish time the merge
+// Each background lane claims a Fold under the lock (copying the
+// claimed Run/TreeShard values, whose payloads are immutable shared
+// state), builds the replacement tree outside the lock, and re-locks
+// only to splice the forest and publish. Erases that land while a fold
+// is in flight COW the *current* containers; at splice time the fold
 // computes the residual (current dead minus dead-at-claim) and carries
 // it onto the new tree, so no tombstone is ever lost or resurrected.
 #include "core/mutable_index.hpp"
@@ -26,6 +26,7 @@
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "core/batch_dispatch.hpp"
 
 namespace panda::core {
 
@@ -47,20 +48,24 @@ constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::size_t kManifestFixedBytes = 8 + 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kManifestTreeBytes = 16;
 
-bool contains(const std::vector<std::uint64_t>& sorted, std::uint64_t id) {
+using IdList = std::vector<std::uint64_t>;
+
+bool contains(const IdList& sorted, std::uint64_t id) {
   return std::binary_search(sorted.begin(), sorted.end(), id);
 }
 
-/// Ascending copy of `ids`; throws on duplicates (seed trees must
-/// carry unique ids for the live set to mean anything).
-std::vector<std::uint64_t> sorted_unique_ids(
-    std::span<const std::uint64_t> ids) {
-  std::vector<std::uint64_t> sorted(ids.begin(), ids.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-  PANDA_CHECK_MSG(dup == sorted.end(),
-                  "MutableIndex seed has duplicate id " << *dup);
-  return sorted;
+/// The one tombstone filter: is `id` in a container's dead list?
+bool is_dead(const std::shared_ptr<const IdList>& dead, std::uint64_t id) {
+  return dead != nullptr && contains(*dead, id);
+}
+
+/// Appends the rows of one tree's answer whose id is not dead there.
+void append_live_rows(std::span<const Neighbor> rows,
+                      const std::shared_ptr<const IdList>& dead,
+                      std::vector<Neighbor>& out) {
+  for (const Neighbor& nb : rows) {
+    if (!is_dead(dead, nb.id)) out.push_back(nb);
+  }
 }
 
 /// Reorders `points` ascending by id — the self-KNN row order and the
@@ -73,6 +78,64 @@ data::PointSet sort_by_id(const data::PointSet& points) {
               return points.id(a) < points.id(b);
             });
   return points.extract(order);
+}
+
+/// Logs `points` as one Insert frame (ids plus row-major coordinates).
+void log_insert(Wal& wal, const data::PointSet& points) {
+  std::vector<float> coords(points.size() * points.dims());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    points.copy_point(p, coords.data() + p * points.dims());
+  }
+  wal.append_insert(points.ids(), coords);
+}
+
+/// The one forest-query fork-join: chunk-stolen over the batch's
+/// queries, `per_query(i, w, tid)` answering query i on pool thread tid
+/// with the query copied into its scratch `w.query`.
+/// Threads share nothing but the work counter — rows are disjoint and
+/// the pinned snapshot is immutable. The grain is finer than the tree
+/// kernels' (16 chunks per thread, not 4): the batch ends when the
+/// last chunk finishes, and on a box where a background build competes
+/// for cores, a fat final chunk on a descheduled straggler stretches
+/// the whole batch. Steal cost is one relaxed fetch_add per chunk.
+template <typename PerQuery>
+void fork_join(parallel::ThreadPool& pool, const data::PointSet& queries,
+               std::uint64_t inline_threshold,
+               std::vector<ForestWorkspace::ThreadScratch>& scratch,
+               const PerQuery& per_query) {
+  const auto threads = static_cast<std::size_t>(pool.size());
+  if (scratch.size() < threads) scratch.resize(threads);
+  // The pool lambda captures only `&ctx`, which fits std::function's
+  // small-object storage — the dispatch stays allocation-free.
+  struct Ctx {
+    const PerQuery* per_query;
+    const data::PointSet* queries;
+    ForestWorkspace::ThreadScratch* scratch;
+    std::uint64_t n;
+    std::uint64_t grain;
+    std::atomic<std::uint64_t> next{0};
+  } ctx{&per_query, &queries, scratch.data(), queries.size(),
+        batch_grain(queries.size(), pool.size(), 32, 16), {}};
+  dispatch_batch(
+      pool, ctx.n,
+      [c = &ctx](int tid) {
+        ForestWorkspace::ThreadScratch& w = c->scratch[tid];
+        w.query.resize(c->queries->dims());
+        for (;;) {
+          // order: relaxed — pure work-stealing counter; chunk claims
+          // need atomicity only, the batch's completion barrier orders
+          // the data.
+          const std::uint64_t lo =
+              c->next.fetch_add(c->grain, std::memory_order_relaxed);
+          if (lo >= c->n) break;
+          const std::uint64_t hi = std::min(lo + c->grain, c->n);
+          for (std::uint64_t i = lo; i < hi; ++i) {
+            c->queries->copy_point(i, w.query.data());
+            (*c->per_query)(i, w, tid);
+          }
+        }
+      },
+      inline_threshold);
 }
 
 }  // namespace
@@ -98,54 +161,50 @@ MutableIndex::MutableIndex(std::size_t dims, const MutableConfig& config,
   // exist: replayed state is complete by the time anything can claim
   // work from it.
   if (durable()) init_durable();
-  seal_thread_ = std::thread([this] { seal_loop(); });
-  merge_thread_ = std::thread([this] { merge_loop(); });
+  seal_thread_ = std::thread([this] { lane_loop(Lane::Seal); });
+  merge_thread_ = std::thread([this] { lane_loop(Lane::Merge); });
 }
 
 MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
                            const BuildConfig& build,
                            std::shared_ptr<parallel::ThreadPool> pool)
     : MutableIndex(seed.dims(), config, build, std::move(pool)) {
-  if (!seed.empty()) {
-    data::PointSet exported(dims_);
-    seed.export_points(exported);
-    auto ids =
-        std::make_shared<const IdList>(sorted_unique_ids(exported.ids()));
-    MutexLock lock(mutex_);
-    if (durable()) {
-      // Seeding writes the seed as committed state; a directory that
-      // recovered content would be silently shadowed by it.
-      PANDA_CHECK_MSG(live_.empty(),
-                      "cannot seed a MutableIndex into non-empty durable "
-                      "directory "
-                          << config_.durable_dir
-                          << " (open it without a seed, or point at a fresh "
-                             "directory)");
-    }
-    live_.insert(ids->begin(), ids->end());
-    // order: relaxed — live_count_ is the size() gauge; see the hpp.
-    live_count_.store(ids->size(), std::memory_order_relaxed);
-    TreeShard shard;
-    shard.level = level_for_size(seed.size());
-    shard.ids = std::move(ids);
-    shard.tree = std::make_shared<const KdTree>(std::move(seed));
-    if (durable()) {
-      shard.file_seq = next_file_seq_++;
-      shard.tree->save(tree_path(shard.file_seq));
-    }
-    trees_.push_back(std::move(shard));
-    if (durable()) write_manifest_locked();
-    publish_locked();
+  if (seed.empty()) return;
+  data::PointSet exported(dims_);
+  seed.export_points(exported);
+  const std::uint32_t level = level_for_size(seed.size());
+  MutexLock lock(mutex_);
+  if (durable()) {
+    // Seeding writes the seed as committed state; a directory that
+    // recovered content would be silently shadowed by it.
+    PANDA_CHECK_MSG(live_.empty(),
+                    "cannot seed a MutableIndex into non-empty durable "
+                    "directory "
+                        << config_.durable_dir
+                        << " (open it without a seed, or point at a fresh "
+                           "directory)");
   }
+  TreeShard shard = make_shard(std::move(seed), exported.ids(), level,
+                               durable() ? next_file_seq_++ : 0);
+  live_.insert(shard.ids->begin(), shard.ids->end());
+  // order: relaxed — live_count_ is the size() gauge; see the hpp.
+  live_count_.store(shard.ids->size(), std::memory_order_relaxed);
+  if (durable()) shard.tree->save(tree_path(shard.file_seq));
+  trees_.push_back(std::move(shard));
+  if (durable()) write_manifest_locked();
+  publish_locked();
 }
 
 MutableIndex::~MutableIndex() {
   {
+    // Drain, then stop: every group sealed before destruction is built
+    // and committed, so a durable directory closes with no pending
+    // seal and the background lanes' I/O always runs.
     MutexLock lock(mutex_);
+    wait_idle_locked(lock);
     stop_ = true;
   }
-  seal_cv_.notify_all();
-  merge_cv_.notify_all();
+  work_cv_.notify_all();
   if (seal_thread_.joinable()) seal_thread_.join();
   if (merge_thread_.joinable()) merge_thread_.join();
   // Close the group-commit window on clean shutdown: acknowledged
@@ -157,6 +216,55 @@ MutableIndex::~MutableIndex() {
       // Destructor: nowhere to report; the frames are still write()n.
     }
   }
+}
+
+MutableIndex::TreeShard MutableIndex::make_shard(
+    KdTree tree, std::span<const std::uint64_t> ids, std::uint32_t level,
+    std::uint64_t file_seq) {
+  TreeShard shard;
+  shard.tree = std::make_shared<const KdTree>(std::move(tree));
+  shard.level = level;
+  // Sorted for tombstone lookup; ids must be unique for the live set
+  // to mean anything (a seed tree is the one untrusted source).
+  IdList sorted(ids.begin(), ids.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  PANDA_CHECK_MSG(dup == sorted.end(),
+                  "MutableIndex seed has duplicate id " << *dup);
+  shard.ids = std::make_shared<const IdList>(std::move(sorted));
+  shard.file_seq = file_seq;
+  return shard;
+}
+
+void MutableIndex::append_live(const Run& run, data::PointSet& out) {
+  if (run.dead == nullptr) {
+    out.append(*run.points);
+    return;
+  }
+  std::vector<std::uint64_t> keep;
+  keep.reserve(run.points->size());
+  for (std::size_t p = 0; p < run.points->size(); ++p) {
+    if (!contains(*run.dead, run.points->id(p))) keep.push_back(p);
+  }
+  out.append(*run.points, keep);
+}
+
+void MutableIndex::append_live(const TreeShard& shard, data::PointSet& out) {
+  if (shard.dead == nullptr) {
+    shard.tree->export_points(out);
+    return;
+  }
+  // A tree's exported points filter exactly like a run.
+  auto exported = std::make_shared<data::PointSet>(out.dims());
+  shard.tree->export_points(*exported);
+  append_live(Run{std::move(exported), shard.dead}, out);
+}
+
+data::PointSet MutableIndex::live_points_of(const Snapshot& snap) const {
+  data::PointSet live(dims_);
+  for (const Run& run : snap.runs) append_live(run, live);
+  for (const TreeShard& shard : snap.trees) append_live(shard, live);
+  return sort_by_id(live);
 }
 
 // ---------------------------------------------------------------------
@@ -186,13 +294,7 @@ void MutableIndex::insert(const data::PointSet& points) {
     // process death; a failed append rolls the admission back so
     // neither memory nor log keeps a trace.
     try {
-      std::vector<std::uint64_t> ids(points.ids().begin(),
-                                     points.ids().end());
-      std::vector<float> coords(points.size() * dims_);
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        points.copy_point(p, coords.data() + p * dims_);
-      }
-      wal_->append_insert(ids, coords);
+      log_insert(*wal_, points);
     } catch (...) {
       for (std::size_t p = 0; p < points.size(); ++p) {
         live_.erase(points.id(p));
@@ -210,16 +312,17 @@ void MutableIndex::insert(const data::PointSet& points) {
 void MutableIndex::apply_insert_locked(const data::PointSet& points) {
   Run run;
   run.points = std::make_shared<const data::PointSet>(points);
-  open_runs_.push_back(std::move(run));
+  runs_.push_back(std::move(run));
+  ++open_runs_;
   open_points_ += points.size();
   inserts_ += points.size();
   // order: relaxed — size() gauge; see the hpp.
   live_count_.fetch_add(points.size(), std::memory_order_relaxed);
   if (open_points_ >= config_.buffer_capacity) {
-    sealed_groups_.push_back(std::move(open_runs_));
-    open_runs_.clear();
+    sealed_groups_.push_back(open_runs_);
+    open_runs_ = 0;
     open_points_ = 0;
-    seal_cv_.notify_one();
+    work_cv_.notify_all();
   }
 }
 
@@ -287,20 +390,12 @@ void MutableIndex::apply_erase_locked(std::span<const std::uint64_t> hit) {
     pending.swap(rest);
     found.clear();
   };
-  const auto is_dead = [](const std::shared_ptr<const IdList>& dead,
-                          std::uint64_t id) {
-    return dead != nullptr && contains(*dead, id);
-  };
-  const auto scan_run = [&](Run& run) {
-    if (pending.empty()) return;
+  for (Run& run : runs_) {
+    if (pending.empty()) break;
     for (const std::uint64_t id : run.points->ids()) {
       if (contains(pending, id) && !is_dead(run.dead, id)) found.push_back(id);
     }
     retire(run.dead);
-  };
-  for (Run& run : open_runs_) scan_run(run);
-  for (auto& group : sealed_groups_) {
-    for (Run& run : group) scan_run(run);
   }
   for (TreeShard& shard : trees_) {
     if (pending.empty()) break;
@@ -320,18 +415,9 @@ void MutableIndex::apply_erase_locked(std::span<const std::uint64_t> hit) {
 }
 
 void MutableIndex::publish_locked() {
-  auto snap = std::make_shared<Snapshot>();
-  std::size_t n_runs = open_runs_.size();
-  for (const auto& group : sealed_groups_) n_runs += group.size();
-  snap->runs.reserve(n_runs);
-  for (const auto& group : sealed_groups_) {
-    snap->runs.insert(snap->runs.end(), group.begin(), group.end());
-  }
-  snap->runs.insert(snap->runs.end(), open_runs_.begin(), open_runs_.end());
-  snap->trees = trees_;
   // order: release — publishes the fully built Snapshot; pairs with the
   // acquire load in snapshot().
-  snapshot_.store(std::shared_ptr<const Snapshot>(std::move(snap)),
+  snapshot_.store(std::make_shared<const Snapshot>(Snapshot{runs_, trees_}),
                   std::memory_order_release);
 }
 
@@ -361,12 +447,20 @@ int MutableIndex::overfull_level_locked() const {
   return -1;
 }
 
-bool MutableIndex::has_work_locked() const {
-  return !sealed_groups_.empty() || overfull_level_locked() >= 0;
+bool MutableIndex::has_work_locked(Lane lane) const {
+  return lane == Lane::Seal ? !sealed_groups_.empty()
+                            : overfull_level_locked() >= 0;
+}
+
+void MutableIndex::wait_idle_locked(MutexLock& lock) {
+  idle_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
+    return busy_lanes_ == 0 && !has_work_locked(Lane::Seal) &&
+           !has_work_locked(Lane::Merge);
+  });
 }
 
 // ---------------------------------------------------------------------
-// Background merges
+// Background maintenance: two lanes, one fold
 // ---------------------------------------------------------------------
 
 // Both lanes run at normal priority on purpose: a deprioritized
@@ -377,289 +471,160 @@ bool MutableIndex::has_work_locked() const {
 // instead: each lane builds on its own single thread, query batches
 // keep the whole shared-pool team.
 
-void MutableIndex::seal_loop() {
+void MutableIndex::lane_loop(Lane lane) {
   MutexLock lock(mutex_);
   for (;;) {
-    seal_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
-      return stop_ || !sealed_groups_.empty();
+    // A merge that overfills the next level cascades: the predicate
+    // re-evaluates before parking.
+    work_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
+      return stop_ || has_work_locked(lane);
     });
-    if (stop_) return;  // abandon pending work; the index is dying
-    seal_busy_ = true;
-    // Claim by value: the Run payloads are immutable, and the dead
-    // lists are COW — this copy IS the dead-at-claim baseline. The
-    // durable file sequence is allocated at claim, under the lock, so
-    // the build can write tree-<seq>.panda without holding it.
-    std::vector<Run> claimed = sealed_groups_.front();
-    const std::uint64_t seq = durable() ? next_file_seq_++ : 0;
+    if (stop_) return;  // set only once idle: no queued work is lost
+    Fold claimed = claim_locked(lane);
     lock.unlock();
-    do_seal(std::move(claimed), seq);
+    fold(std::move(claimed));
     lock.lock();
-    seal_busy_ = false;
-    merge_cv_.notify_one();  // the new level-0 tree may overfill level 0
+    --busy_lanes_;
+    work_cv_.notify_all();  // a new level-0 tree may overfill level 0
     idle_cv_.notify_all();
   }
 }
 
-void MutableIndex::merge_loop() {
-  MutexLock lock(mutex_);
-  for (;;) {
-    // Cascading overfull levels (a merge into level L+1 overfilling
-    // L+1) re-enter through the wait predicate, which re-evaluates
-    // before parking.
-    merge_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
-      return stop_ || overfull_level_locked() >= 0;
-    });
-    if (stop_) return;
-    merge_busy_ = true;
+MutableIndex::Fold MutableIndex::claim_locked(Lane lane) {
+  // Claim by value: the payloads are immutable and the dead lists are
+  // COW — these copies ARE the dead-at-claim baseline. The durable file
+  // sequence is allocated here, under the lock, so the build can write
+  // tree-<seq>.panda without holding it.
+  Fold claimed;
+  if (lane == Lane::Seal) {
+    claimed.runs.assign(runs_.begin(),
+                        runs_.begin() + static_cast<std::ptrdiff_t>(
+                                            sealed_groups_.front()));
+  } else {
     const int level = overfull_level_locked();
-    std::vector<TreeShard> claimed;
     for (const TreeShard& shard : trees_) {
-      if (static_cast<int>(shard.level) == level) claimed.push_back(shard);
-    }
-    const std::uint64_t seq = durable() ? next_file_seq_++ : 0;
-    lock.unlock();
-    do_level_merge(static_cast<std::uint32_t>(level), std::move(claimed),
-                   seq);
-    lock.lock();
-    merge_busy_ = false;
-    idle_cv_.notify_all();
-  }
-}
-
-void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
-  // Gather the points live at claim time and build outside the lock;
-  // queries keep brute-scanning the runs from their pinned snapshots.
-  data::PointSet pts(dims_);
-  std::vector<float> buf(dims_);
-  for (const Run& run : claimed) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      pts.push_point(buf, id);
-    }
-  }
-  std::shared_ptr<const KdTree> tree;
-  std::shared_ptr<const IdList> ids;
-  if (!pts.empty()) {
-    tree = std::make_shared<const KdTree>(
-        KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(sorted_unique_ids(pts.ids()));
-  }
-  // Persist outside the lock too — the file is invisible until the
-  // MANIFEST names it, so writers/queries never stall on this I/O. An
-  // uncommitted file left by a crash is swept at recovery.
-  if (durable() && tree != nullptr) tree->save(tree_path(file_seq));
-
-  MutexLock lock(mutex_);
-  // Writers only ever COW dead lists inside the queued group, so the
-  // front still matches `claimed` position by position. Ids erased
-  // since the claim are inside the new tree — carry them as residual
-  // tombstones.
-  IdList residual;
-  const std::vector<Run>& current = sealed_groups_.front();
-  for (std::size_t r = 0; r < current.size(); ++r) {
-    if (current[r].dead == nullptr) continue;
-    for (const std::uint64_t id : *current[r].dead) {
-      if (claimed[r].dead == nullptr || !contains(*claimed[r].dead, id)) {
-        residual.push_back(id);
+      if (static_cast<int>(shard.level) == level) {
+        claimed.trees.push_back(shard);
       }
     }
+    claimed.level = static_cast<std::uint32_t>(level) + 1;
   }
-  sealed_groups_.pop_front();
-  if (tree != nullptr) {
-    std::sort(residual.begin(), residual.end());
-    TreeShard shard;
-    shard.tree = std::move(tree);
-    shard.level = 0;
-    shard.ids = std::move(ids);
-    shard.file_seq = file_seq;
-    if (!residual.empty()) {
-      shard.dead = std::make_shared<const IdList>(std::move(residual));
+  claimed.file_seq = durable() ? next_file_seq_++ : 0;
+  ++busy_lanes_;
+  return claimed;
+}
+
+void MutableIndex::fold(Fold claimed) {
+  // 1. The points live at claim time; queries keep answering from the
+  // claimed containers in their pinned snapshots meanwhile.
+  data::PointSet pts(dims_);
+  for (const Run& run : claimed.runs) append_live(run, pts);
+  for (const TreeShard& shard : claimed.trees) append_live(shard, pts);
+  // 2-3. Build on the private pool and persist, both outside the lock —
+  // the file is invisible until the MANIFEST names it, so writers and
+  // queries never stall on this I/O. An uncommitted file left by a
+  // crash is swept at recovery.
+  std::optional<TreeShard> built;
+  if (!pts.empty()) {
+    built = make_shard(KdTree::build(pts, build_, merge_build_pool_),
+                       pts.ids(), claimed.level, claimed.file_seq);
+    if (durable()) built->tree->save(tree_path(claimed.file_seq));
+  }
+
+  // 4. Ids erased since the claim are inside the new tree: carry them
+  // as residual tombstones. Claimed containers are matched by payload
+  // pointer, so whatever the other lane or a writer added meanwhile
+  // stays untouched.
+  MutexLock lock(mutex_);
+  IdList residual;
+  const auto retire = [&residual](const auto& current, const auto& sources) {
+    const auto source = std::find_if(
+        sources.begin(), sources.end(),
+        [&](const auto& s) { return s.payload() == current.payload(); });
+    if (source == sources.end()) return false;
+    if (current.dead != nullptr) {
+      for (const std::uint64_t id : *current.dead) {
+        if (!is_dead(source->dead, id)) residual.push_back(id);
+      }
     }
-    trees_.push_back(std::move(shard));
+    return true;
+  };
+  std::erase_if(runs_, [&](const Run& run) {
+    return retire(run, claimed.runs);
+  });
+  std::erase_if(trees_, [&](const TreeShard& shard) {
+    return retire(shard, claimed.trees);
+  });
+  // The seal lane is the queue's only consumer: its group is still
+  // the front.
+  const bool seal = !claimed.runs.empty();
+  if (seal) sealed_groups_.pop_front();
+  ++(seal ? seals_ : merges_);
+  // 5. Splice, commit, publish.
+  if (built.has_value()) {
+    std::sort(residual.begin(), residual.end());
+    if (!residual.empty()) {
+      built->dead = std::make_shared<const IdList>(std::move(residual));
+    }
+    trees_.push_back(std::move(*built));
   } else {
     // Everything was dead at claim: nothing live remained for an
     // erase to target afterwards, so there can be no residual.
     PANDA_ASSERT(residual.empty());
   }
-  ++seals_;
-  if (durable()) {
-    // Commit the seal and shrink the log in one step: rotate to a
-    // fresh WAL holding only the still-buffered state, then the
-    // MANIFEST rename makes {new tree file, new WAL} the committed
-    // truth. The old WAL (whose frames the new tree now embodies) is
-    // deleted only after the commit — a crash in between recovers
-    // from the old WAL and sweeps the new files as orphans.
-    const std::uint64_t old_wal = wal_seq_;
-    rotate_wal_locked();
-    write_manifest_locked();
-    std::error_code ec;
-    std::filesystem::remove(wal_path(old_wal), ec);
-  }
+  // A seal also shrinks the log: the WAL rotates to hold only the
+  // still-buffered state. A merge is a MANIFEST-only commit (erase
+  // frames replay by live-id membership, so ids the merge dropped are
+  // skipped silently).
+  commit_locked(seal, claimed.trees);
   publish_locked();
 }
 
-void MutableIndex::do_level_merge(std::uint32_t level,
-                                  std::vector<TreeShard> claimed,
-                                  std::uint64_t file_seq) {
-  data::PointSet pts(dims_);
-  data::PointSet exported(dims_);
-  std::vector<float> buf(dims_);
-  for (const TreeShard& shard : claimed) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      pts.push_point(buf, id);
-    }
+void MutableIndex::commit_locked(bool consumed_runs,
+                                 std::span<const TreeShard> replaced) {
+  if (!durable()) return;
+  const std::uint64_t old_wal = wal_seq_;
+  if (consumed_runs) rotate_wal_locked();
+  write_manifest_locked();
+  std::error_code ec;
+  if (consumed_runs) std::filesystem::remove(wal_path(old_wal), ec);
+  for (const TreeShard& shard : replaced) {
+    std::filesystem::remove(tree_path(shard.file_seq), ec);
   }
-  std::shared_ptr<const KdTree> tree;
-  std::shared_ptr<const IdList> ids;
-  if (!pts.empty()) {
-    tree = std::make_shared<const KdTree>(
-        KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(sorted_unique_ids(pts.ids()));
-  }
-  if (durable() && tree != nullptr) tree->save(tree_path(file_seq));
-
-  MutexLock lock(mutex_);
-  IdList residual;
-  std::vector<TreeShard> rest;
-  rest.reserve(trees_.size());
-  for (TreeShard& current : trees_) {
-    const auto source = std::find_if(
-        claimed.begin(), claimed.end(), [&](const TreeShard& c) {
-          return c.tree.get() == current.tree.get();
-        });
-    if (source == claimed.end()) {
-      rest.push_back(std::move(current));
-      continue;
-    }
-    if (current.dead != nullptr) {
-      for (const std::uint64_t id : *current.dead) {
-        if (source->dead == nullptr || !contains(*source->dead, id)) {
-          residual.push_back(id);
-        }
-      }
-    }
-  }
-  trees_ = std::move(rest);
-  if (tree != nullptr) {
-    std::sort(residual.begin(), residual.end());
-    TreeShard shard;
-    shard.tree = std::move(tree);
-    shard.level = level + 1;
-    shard.ids = std::move(ids);
-    shard.file_seq = file_seq;
-    if (!residual.empty()) {
-      shard.dead = std::make_shared<const IdList>(std::move(residual));
-    }
-    trees_.push_back(std::move(shard));
-  } else {
-    PANDA_ASSERT(residual.empty());
-  }
-  ++merges_;
-  if (durable()) {
-    // A merge is a MANIFEST-only commit: no WAL rotation (erase
-    // frames replay by live-id membership, so ids the merge dropped
-    // are skipped silently). Source files outlive the commit, then go.
-    write_manifest_locked();
-    std::error_code ec;
-    for (const TreeShard& source : claimed) {
-      std::filesystem::remove(tree_path(source.file_seq), ec);
-    }
-  }
-  publish_locked();
 }
 
 void MutableIndex::quiesce() {
   MutexLock lock(mutex_);
-  idle_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
-    return !seal_busy_ && !merge_busy_ && !has_work_locked();
-  });
+  wait_idle_locked(lock);
 }
 
 void MutableIndex::compact() {
   MutexLock lock(mutex_);
-  // Drain both background lanes first: their publish steps match
-  // containers positionally / by pointer, so the forest must not
-  // change shape under a claim. The wait releases the lock, letting
-  // them finish.
-  idle_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
-    return !seal_busy_ && !merge_busy_ && !has_work_locked();
-  });
-  data::PointSet pts(dims_);
-  gather_live_locked(pts);
-  data::PointSet sorted = sort_by_id(pts);
-  std::vector<std::uint64_t> old_files;
-  if (durable()) {
-    old_files.reserve(trees_.size());
-    for (const TreeShard& shard : trees_) old_files.push_back(shard.file_seq);
-  }
-  open_runs_.clear();
+  // Drain both lanes first: a fold splices by payload pointer, so the
+  // forest must not be replaced under a claim. The wait releases the
+  // lock, letting them finish.
+  wait_idle_locked(lock);
+  // Under mutex_ the published snapshot is the guarded state: every
+  // mutation publishes before it unlocks.
+  const data::PointSet live = live_points();
+  const std::vector<TreeShard> replaced = std::exchange(trees_, {});
+  runs_.clear();
+  open_runs_ = 0;
   open_points_ = 0;
-  trees_.clear();
-  if (!sorted.empty()) {
+  if (!live.empty()) {
     // Built under the lock: writers wait, queries keep serving the
     // pre-compaction snapshot.
-    TreeShard shard;
-    shard.tree = std::make_shared<const KdTree>(
-        KdTree::build(sorted, build_, *pool_));
-    shard.level = level_for_size(sorted.size());
-    shard.ids = std::make_shared<const IdList>(
-        sorted_unique_ids(sorted.ids()));
-    if (durable()) {
-      shard.file_seq = next_file_seq_++;
-      shard.tree->save(tree_path(shard.file_seq));
-    }
+    TreeShard shard = make_shard(KdTree::build(live, build_, *pool_),
+                                 live.ids(), level_for_size(live.size()),
+                                 durable() ? next_file_seq_++ : 0);
+    if (durable()) shard.tree->save(tree_path(shard.file_seq));
     trees_.push_back(std::move(shard));
   }
   ++compactions_;
-  if (durable()) {
-    // The buffer is empty and the one tree has no tombstones, so the
-    // rotated WAL is just a fresh header.
-    const std::uint64_t old_wal = wal_seq_;
-    rotate_wal_locked();
-    write_manifest_locked();
-    std::error_code ec;
-    std::filesystem::remove(wal_path(old_wal), ec);
-    for (const std::uint64_t seq : old_files) {
-      std::filesystem::remove(tree_path(seq), ec);
-    }
-  }
+  // The buffer is empty and the one tree has no tombstones, so the
+  // rotated WAL is just a fresh header.
+  commit_locked(/*consumed_runs=*/true, replaced);
   publish_locked();
-}
-
-void MutableIndex::gather_live_locked(data::PointSet& out) const {
-  std::vector<float> buf(dims_);
-  const auto gather_run = [&](const Run& run) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) gather_run(run);
-  }
-  for (const Run& run : open_runs_) gather_run(run);
-  data::PointSet exported(dims_);
-  for (const TreeShard& shard : trees_) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -777,14 +742,8 @@ void MutableIndex::recover_durable() {
     KdTree tree = KdTree::open_mmap(tree_path(seq), /*verify_sections=*/true);
     data::PointSet exported(dims_);
     tree.export_points(exported);
-    auto ids =
-        std::make_shared<const IdList>(sorted_unique_ids(exported.ids()));
-    live_.insert(ids->begin(), ids->end());
-    TreeShard shard;
-    shard.tree = std::make_shared<const KdTree>(std::move(tree));
-    shard.level = level;
-    shard.ids = std::move(ids);
-    shard.file_seq = seq;
+    TreeShard shard = make_shard(std::move(tree), exported.ids(), level, seq);
+    live_.insert(shard.ids->begin(), shard.ids->end());
     trees_.push_back(std::move(shard));
   }
   // order: relaxed — size() gauge; see the hpp.
@@ -804,11 +763,9 @@ void MutableIndex::recover_durable() {
           points.push_point(
               std::span<const float>(frame.coords.data() + p * dims_, dims_),
               frame.ids[p]);
-        }
-        for (std::size_t p = 0; p < points.size(); ++p) {
-          PANDA_CHECK_MSG(live_.insert(points.id(p)).second,
+          PANDA_CHECK_MSG(live_.insert(frame.ids[p]).second,
                           "durable WAL replays id "
-                              << points.id(p)
+                              << frame.ids[p]
                               << " over a live id — inconsistent state in "
                               << config_.durable_dir);
         }
@@ -874,26 +831,11 @@ void MutableIndex::rotate_wal_locked() {
   if (!dead.empty()) fresh.append_tombstones(dead);
   // Re-log the still-buffered batches (live points only — a run's
   // dead ids simply aren't carried forward).
-  std::vector<std::uint64_t> ids;
-  std::vector<float> coords;
-  std::vector<float> buf(dims_);
-  const auto relog = [&](const Run& run) {
-    ids.clear();
-    coords.clear();
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ids.push_back(id);
-      ps.copy_point(p, buf.data());
-      coords.insert(coords.end(), buf.begin(), buf.end());
-    }
-    if (!ids.empty()) fresh.append_insert(ids, coords);
-  };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) relog(run);
+  for (const Run& run : runs_) {
+    data::PointSet live(dims_);
+    append_live(run, live);
+    if (!live.empty()) log_insert(fresh, live);
   }
-  for (const Run& run : open_runs_) relog(run);
   fresh.sync();
   wal_ = std::move(fresh);
   wal_seq_ = seq;
@@ -917,66 +859,25 @@ void MutableIndex::maybe_sync_wal_locked() {
 // Read side
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// Appends the live points of one pinned snapshot (runs, then trees).
-void gather_snapshot_live(std::size_t dims, const auto& runs,
-                          const auto& trees, data::PointSet& out) {
-  std::vector<float> buf(dims);
-  for (const auto& run : runs) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
-  data::PointSet exported(dims);
-  for (const auto& shard : trees) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
-}
-
-}  // namespace
-
 void MutableIndex::knn_batch(const data::PointSet& queries, std::size_t k,
-                             NeighborTable& results, ForestWorkspace& ws,
-                             TraversalPolicy policy) const {
+                             NeighborTable& results,
+                             ForestWorkspace& ws) const {
   PANDA_CHECK_MSG(queries.dims() == dims_, "query dimensionality mismatch");
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   const auto snap = snapshot();
   results.reset_topk(queries.size(), k);
   if (queries.empty()) return;
-  knn_rows(queries, k, *snap, policy, results, ws);
+  knn_rows(queries, k, *snap, results, ws);
 }
 
 void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
-                            const Snapshot& snap, TraversalPolicy policy,
-                            NeighborTable& results,
+                            const Snapshot& snap, NeighborTable& results,
                             ForestWorkspace& ws) const {
-  // One chunk-stolen parallel region answers every query end to end:
-  // buffer scan, every tree (the single-query kernel — documented
-  // identical to the batch kernel's rows — with lazy tombstone
-  // over-fetch), and the (dist², id) row merge. One fork-join per batch, NOT one
-  // per tree: a mid-merge forest is deep (up to fan_in trees per
-  // level), and on a loaded box every extra barrier's join tail costs
-  // a scheduler round against the background build — the per-tree
-  // two-pass form was the dominant term in bench_mutable's
-  // p99-during-merges gate. Rows are disjoint and the snapshot is
-  // immutable, so threads share nothing but the work counter.
   // Per-tree over-fetch CAP: at min(k + |dead|, tree size) a full
   // return always holds >= k live points, so the per-query retry loop
   // terminates there. The common case fetches far less.
   const std::size_t n_trees = snap.trees.size();
-  if (ws.k_pad.size() < n_trees) ws.k_pad.resize(n_trees);
+  ws.k_pad.resize(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) {
     const TreeShard& shard = snap.trees[t];
     const std::size_t dead = shard.dead != nullptr ? shard.dead->size() : 0;
@@ -994,88 +895,24 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
             [&](std::size_t a, std::size_t b) {
               return snap.trees[a].tree->size() > snap.trees[b].tree->size();
             });
-  const std::uint64_t n = queries.size();
-  const auto threads = static_cast<std::size_t>(pool_->size());
-  if (ws.merge.size() < threads) ws.merge.resize(threads);
-  struct Ctx {
-    const MutableIndex* self;
-    const data::PointSet* queries;
-    const Snapshot* snap;
-    NeighborTable* results;
-    ForestWorkspace* ws;
-    std::size_t k;
-    TraversalPolicy policy;
-    std::uint64_t n;
-    std::uint64_t grain;
-    std::atomic<std::uint64_t> next{0};
-  } ctx{this,
-        &queries,
-        &snap,
-        &results,
-        &ws,
-        k,
-        policy,
-        n,
-        // Finer grain than the tree kernels (16 chunks/thread, not 4):
-        // the batch ends when the last chunk finishes, and on a box
-        // where a background merge thread competes for cores, a fat
-        // final chunk on a descheduled straggler stretches the whole
-        // batch. Steal cost is one relaxed fetch_add per chunk.
-        std::clamp<std::uint64_t>(
-            n / (static_cast<std::uint64_t>(threads) * 16 + 1), 1, 32),
-        {}};
-  const auto body = [c = &ctx](int tid) {
-    ForestWorkspace::MergeScratch& w =
-        c->ws->merge[static_cast<std::size_t>(tid)];
-    const std::span<const std::size_t> k_pads(c->ws->k_pad.data(),
-                                              c->snap->trees.size());
-    const std::span<const std::size_t> tree_order(
-        c->ws->tree_order.data(), c->snap->trees.size());
-    for (;;) {
-      // order: relaxed — pure work-stealing counter; chunk claims need
-      // atomicity only, the batch's completion barrier orders the data.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        c->self->answer_one_query(*c->queries, i, c->k, *c->snap, k_pads,
-                                  tree_order, c->policy, *c->results, w);
-      }
-    }
-  };
-  // Same inline cutoffs as dispatch_batch in the tree kernels: tiny
-  // batches and size-1 pools skip the fan-out, a busy team falls back
-  // to covering the whole range inline (the body self-schedules).
-  if (n <= 64 || pool_->size() == 1) {
-    body(0);
-    return;
-  }
-  if (!pool_->try_run(body)) body(0);
+  fork_join(*pool_, queries, kInlineBatchThreshold, ws.per_thread,
+            [&](std::uint64_t i, ForestWorkspace::ThreadScratch& w, int) {
+              knn_one(i, k, snap, ws, results, w);
+            });
 }
 
-void MutableIndex::answer_one_query(const data::PointSet& queries,
-                                    std::size_t i, std::size_t k,
-                                    const Snapshot& snap,
-                                    std::span<const std::size_t> k_pads,
-                                    std::span<const std::size_t> tree_order,
-                                    TraversalPolicy policy,
-                                    NeighborTable& results,
-                                    ForestWorkspace::MergeScratch& w) const {
-  // The buffer scan accumulates in dimension order — the same
-  // arithmetic as the SIMD leaf kernel and brute_force_knn — so merged
-  // results are bit-identical to a from-scratch build over the live
-  // points.
-  w.query.resize(dims_);
-  queries.copy_point(i, w.query.data());
-  w.heap.reset(k);
+template <typename Within, typename Take>
+void MutableIndex::scan_runs(std::span<const Run> runs,
+                             ForestWorkspace::ThreadScratch& w,
+                             const Within& within, const Take& take) const {
+  // Accumulates in dimension order — the same arithmetic as the SIMD
+  // leaf kernel and brute_force_knn — so merged results are
+  // bit-identical to a from-scratch build over the live points.
   // Blocked over the SoA columns so the compiler vectorizes across
-  // points; each point's accumulation still runs in dimension order,
-  // preserving the bit-identical contract above. Admission stays a
-  // scalar pass with the same comparison sequence as before.
+  // points; admission stays a scalar pass in point order.
   constexpr std::size_t kScanBlock = 256;
   if (w.dist.size() < kScanBlock) w.dist.resize(kScanBlock);
-  for (const Run& run : snap.runs) {
+  for (const Run& run : runs) {
     const data::PointSet& ps = *run.points;
     for (std::size_t base = 0; base < ps.size(); base += kScanBlock) {
       const std::size_t len = std::min(kScanBlock, ps.size() - base);
@@ -1090,20 +927,31 @@ void MutableIndex::answer_one_query(const data::PointSet& queries,
         }
       }
       for (std::size_t p = 0; p < len; ++p) {
-        if (dist[p] <= w.heap.bound()) {
+        if (within(dist[p])) {
           const std::uint64_t id = ps.id(base + p);
-          if (run.dead != nullptr && contains(*run.dead, id)) continue;
-          w.heap.offer(dist[p], id);
+          if (is_dead(run.dead, id)) continue;
+          take(dist[p], id);
         }
       }
     }
   }
+}
+
+void MutableIndex::knn_one(std::size_t i, std::size_t k,
+                           const Snapshot& snap,
+                           const ForestWorkspace& ws,
+                           NeighborTable& results,
+                           ForestWorkspace::ThreadScratch& w) const {
+  w.heap.reset(k);
+  scan_runs(
+      snap.runs, w, [&w](float d2) { return d2 <= w.heap.bound(); },
+      [&w](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
   const auto slot = results.slot(i);
   std::size_t count = w.heap.extract_sorted_into(slot.data());
   constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (const std::size_t t : tree_order) {
+  for (const std::size_t t : ws.tree_order) {
     const TreeShard& shard = snap.trees[t];
-    const std::size_t cap = k_pads[t];
+    const std::size_t cap = ws.k_pad[t];
     const std::size_t dead_n = shard.dead != nullptr ? shard.dead->size() : 0;
     if (w.row.size() < cap) w.row.resize(cap);
     // Carry the running k-th best as the traversal bound: only
@@ -1132,14 +980,12 @@ void MutableIndex::answer_one_query(const data::PointSet& queries,
     for (;;) {
       const std::size_t got = shard.tree->query_sq_into(
           std::span<const float>(w.query.data(), dims_), k_try, bound2,
-          w.tree_ws, std::span<Neighbor>(w.row.data(), k_try), policy,
-          nullptr, bound_id);
+          w.tree_ws, std::span<Neighbor>(w.row.data(), k_try),
+          TraversalPolicy::Exact, nullptr, bound_id);
       incoming = std::span<const Neighbor>(w.row.data(), got);
       if (shard.dead != nullptr) {
         w.filtered.clear();
-        for (const Neighbor& nb : incoming) {
-          if (!contains(*shard.dead, nb.id)) w.filtered.push_back(nb);
-        }
+        append_live_rows(incoming, shard.dead, w.filtered);
         incoming = w.filtered;
       }
       if (got < k_try || incoming.size() >= k || k_try >= cap) break;
@@ -1161,44 +1007,40 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
     PANDA_CHECK_MSG(radius >= 0.0f, "radius must be non-negative");
   }
   const auto snap = snapshot();
-  results.reset_rows(queries.size());
-  if (queries.empty()) return;
-  if (ws.tree_tables.size() < snap->trees.size()) {
-    ws.tree_tables.resize(snap->trees.size());
-  }
-  for (std::size_t t = 0; t < snap->trees.size(); ++t) {
-    snap->trees[t].tree->query_radius_batch(queries, radii, *pool_,
-                                            ws.tree_tables[t], ws.batch);
-  }
-  ws.query.resize(dims_);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, ws.query.data());
-    const float r2 = radii[i] * radii[i];
-    ws.merged.clear();
-    for (const Run& run : snap->runs) {
-      const data::PointSet& ps = *run.points;
-      for (std::size_t p = 0; p < ps.size(); ++p) {
-        float acc = 0.0f;
-        for (std::size_t d = 0; d < dims_; ++d) {
-          const float diff = ws.query[d] - ps.at(p, d);
-          acc += diff * diff;
-        }
-        if (acc < r2) {
-          const std::uint64_t id = ps.id(p);
-          if (run.dead != nullptr && contains(*run.dead, id)) continue;
-          ws.merged.push_back(Neighbor{acc, id});
-        }
-      }
-    }
-    for (std::size_t t = 0; t < snap->trees.size(); ++t) {
-      const TreeShard& shard = snap->trees[t];
-      for (const Neighbor& nb : ws.tree_tables[t].row(i)) {
-        if (shard.dead != nullptr && contains(*shard.dead, nb.id)) continue;
-        ws.merged.push_back(nb);
-      }
-    }
-    std::sort(ws.merged.begin(), ws.merged.end());
-    results.append_row(i, ws.merged);
+  const std::uint64_t n = queries.size();
+  results.reset_rows(n);
+  if (n == 0) return;
+  for (auto& w : ws.per_thread) w.staging.clear();
+  if (ws.row_refs.size() < n) ws.row_refs.resize(n);
+  // Each thread stages its rows contiguously in its own buffer and
+  // records where each query's row landed; the stitch below copies
+  // them into the flat table in query order.
+  fork_join(*pool_, queries, kInlineRadiusThreshold, ws.per_thread,
+            [&](std::uint64_t i, ForestWorkspace::ThreadScratch& w, int tid) {
+              const std::uint64_t begin = w.staging.size();
+              const float r2 = radii[i] * radii[i];
+              scan_runs(
+                  snap->runs, w, [r2](float d2) { return d2 < r2; },
+                  [&w](float d2, std::uint64_t id) {
+                    w.staging.push_back({d2, id});
+                  });
+              for (const TreeShard& shard : snap->trees) {
+                shard.tree->query_radius_into(
+                    std::span<const float>(w.query.data(), dims_), radii[i],
+                    w.tree_ws, w.row);
+                append_live_rows(w.row, shard.dead, w.staging);
+              }
+              std::sort(w.staging.begin() + static_cast<std::ptrdiff_t>(begin),
+                        w.staging.end());
+              ws.row_refs[i] = {
+                  begin, static_cast<std::uint32_t>(w.staging.size() - begin),
+                  static_cast<std::uint32_t>(tid)};
+            });
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const QueryWorkspace::RowRef& ref = ws.row_refs[i];
+    const auto& staging = ws.per_thread[ref.thread].staging;
+    results.append_row(
+        i, std::span<const Neighbor>(staging.data() + ref.begin, ref.count));
   }
 }
 
@@ -1207,20 +1049,15 @@ void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
   // One snapshot serves both the query set and the answers, so the
   // call is exact even while writers race it.
   const auto snap = snapshot();
-  data::PointSet live(dims_);
-  gather_snapshot_live(dims_, snap->runs, snap->trees, live);
-  const data::PointSet queries = sort_by_id(live);
+  const data::PointSet queries = live_points_of(*snap);
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   results.reset_topk(queries.size(), k);
   if (queries.empty()) return;
-  knn_rows(queries, k, *snap, TraversalPolicy::Exact, results, ws);
+  knn_rows(queries, k, *snap, results, ws);
 }
 
 data::PointSet MutableIndex::live_points() const {
-  const auto snap = snapshot();
-  data::PointSet live(dims_);
-  gather_snapshot_live(dims_, snap->runs, snap->trees, live);
-  return sort_by_id(live);
+  return live_points_of(*snapshot());
 }
 
 void MutableIndex::save(const std::string& path) const {
@@ -1248,20 +1085,16 @@ MutationStats MutableIndex::stats() const {
   out.live_points = live_count_.load(std::memory_order_relaxed);
   out.buffered_points = 0;
   out.tombstones = 0;
-  const auto count_run = [&](const Run& run) {
+  for (const Run& run : runs_) {
     out.buffered_points += run.points->size();
     if (run.dead != nullptr) out.tombstones += run.dead->size();
-  };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) count_run(run);
   }
-  for (const Run& run : open_runs_) count_run(run);
   for (const TreeShard& shard : trees_) {
     if (shard.dead != nullptr) out.tombstones += shard.dead->size();
   }
   out.trees = trees_.size();
   out.pending_sealed_groups = sealed_groups_.size();
-  out.merge_in_flight = seal_busy_ || merge_busy_;
+  out.merge_in_flight = busy_lanes_ > 0;
   return out;
 }
 

@@ -34,28 +34,36 @@
 //
 //   queries  — lock-free. Writers publish an immutable Snapshot
 //     (runs + tree shards) through one atomic<shared_ptr> store;
-//     queries pin exactly one snapshot for the whole batch. One
-//     chunk-stolen parallel region answers each query end to end —
-//     buffer-scan candidates, every tree at its tombstone-padded k,
-//     and the row merge — under the deterministic (dist², id) total
-//     order of DESIGN.md §5 (one fork-join per batch, not one per
-//     tree, so a deep mid-merge forest costs no extra barriers).
-//     Buffer scans and the SIMD leaf kernel accumulate distances in
-//     the same dimension order, so results are bit-identical to a
-//     from-scratch build over the live points — tests/
-//     test_mutable_index.cpp pins id-exactness against an
-//     incrementally-maintained brute-force oracle after every
-//     mutation, and bench_mutable digest-gates it.
+//     queries pin exactly one snapshot for the whole batch. KNN and
+//     radius batches share one chunk-stolen parallel region that
+//     answers each query end to end — the blocked buffer scan, every
+//     tree, one tombstone filter — under the deterministic (dist², id)
+//     total order of DESIGN.md §5 (one fork-join per batch, not one
+//     per tree, so a deep mid-merge forest costs no extra barriers).
+//     The two differ only in how a candidate is admitted: a heap
+//     offer for KNN, dist² < r² for radius. Buffer scans and the SIMD
+//     leaf kernel accumulate distances in the same dimension order,
+//     so results are bit-identical to a from-scratch build over the
+//     live points — tests/test_mutable_index.cpp pins id-exactness
+//     against an incrementally-maintained brute-force oracle after
+//     every mutation, and bench_mutable digest-gates it.
+//
+//   maintenance — one fold serves both background lanes: gather the
+//     claimed containers' live points, build, save, then re-lock to
+//     carry the tombstones erased since the claim onto the new tree,
+//     splice it in, commit and publish. Destruction drains: every
+//     group sealed before ~MutableIndex is built and committed before
+//     the lanes stop.
 //
 // Thread safety: any number of concurrent query callers (each with its
 // own ForestWorkspace/NeighborTable); mutations are serialized
 // internally and may run concurrently with queries — a query never
 // blocks on a writer or on the merge thread. Background seal/merge
-// builds never touch the shared pool: they run inline on the merge
+// builds never touch the shared pool: they run inline on their lane's
 // thread (a private size-1 build pool), so a query batch always gets
 // the full pool team and maintenance can take at most one thread's
-// share of the machine while it churns — bench_mutable gates the
-// interference at p99-during <= 2x quiesced p99.
+// share of the machine per lane while it churns — bench_mutable gates
+// the interference at p99-during <= 2x quiesced p99.
 #pragma once
 
 #include <atomic>
@@ -137,28 +145,25 @@ struct MutationStats {
 /// concurrent caller, reusable across calls (the forest analogue of
 /// BatchWorkspace; SearchWorkspace embeds one).
 struct ForestWorkspace {
-  BatchWorkspace batch;
-  /// One table per forest tree — the radius path only (per-tree
-  /// radius batches, stitched serially afterwards).
-  std::vector<NeighborTable> tree_tables;
-  /// Per-pool-thread scratch for the single-fork-join KNN path: each
-  /// thread drives its query chunk through the buffer scan and every
-  /// tree serially, so one scratch holds a traversal workspace plus
-  /// one padded row and merge buffers.
-  struct MergeScratch {
+  /// Per-pool-thread scratch of the forest fork-join: each thread
+  /// drives its query chunk through the buffer scan and every tree
+  /// serially, so one scratch holds a traversal workspace plus one
+  /// query's candidate buffers.
+  struct ThreadScratch {
     KnnHeap heap{1};
     QueryWorkspace tree_ws;
     std::vector<float> query;
     std::vector<float> dist;  // buffer-scan distance block
-    std::vector<Neighbor> row;
+    std::vector<Neighbor> row;  // one tree's answer
     std::vector<Neighbor> filtered;
     std::vector<Neighbor> scratch;
+    /// Radius rows of this thread, contiguous; row_refs locates them.
+    std::vector<Neighbor> staging;
   };
-  std::vector<MergeScratch> merge;
+  std::vector<ThreadScratch> per_thread;
+  std::vector<QueryWorkspace::RowRef> row_refs;  // radius stitch map
   std::vector<std::size_t> k_pad;       // per-tree over-fetch cap
   std::vector<std::size_t> tree_order;  // trees descending by size
-  std::vector<float> query;        // radius merge loop (serial)
-  std::vector<Neighbor> merged;    // radius merge loop (serial)
 };
 
 class MutableIndex {
@@ -211,7 +216,8 @@ class MutableIndex {
 
   /// Blocks until no background seal/merge is queued or running. The
   /// buffer keeps its unsealed runs (quiesce is about merge activity,
-  /// not about emptying the write side).
+  /// not about emptying the write side). The destructor runs the same
+  /// wait before it stops the lanes.
   void quiesce();
 
   // -------------------------------------------------------------------
@@ -222,8 +228,7 @@ class MutableIndex {
   /// ascending (dist², id) — bit-identical to a fresh build over the
   /// live points.
   void knn_batch(const data::PointSet& queries, std::size_t k,
-                 NeighborTable& results, ForestWorkspace& ws,
-                 TraversalPolicy policy = TraversalPolicy::Exact) const;
+                 NeighborTable& results, ForestWorkspace& ws) const;
 
   /// All live neighbors with dist² < radii[i]² (rows mode, ascending).
   void radius_batch(const data::PointSet& queries,
@@ -267,6 +272,7 @@ class MutableIndex {
   struct Run {
     std::shared_ptr<const data::PointSet> points;
     std::shared_ptr<const IdList> dead;  // null = none
+    const void* payload() const { return points.get(); }
   };
 
   /// One forest tree plus its sorted id set (tombstone lookup) and
@@ -279,6 +285,7 @@ class MutableIndex {
     /// Durable mode: sequence number of this tree's on-disk file
     /// (tree-<seq>.panda); 0 = not persisted (in-memory mode).
     std::uint64_t file_seq = 0;
+    const void* payload() const { return tree.get(); }
   };
 
   /// What queries pin: one immutable view of the whole forest.
@@ -287,6 +294,18 @@ class MutableIndex {
     std::vector<TreeShard> trees;
   };
 
+  /// One unit of background maintenance, claimed by value under the
+  /// lock: a seal claims one sealed group's runs, a level merge every
+  /// tree at one level. The copies' dead lists are the dead-at-claim
+  /// baseline of the residual tombstones.
+  struct Fold {
+    std::vector<Run> runs;
+    std::vector<TreeShard> trees;
+    std::uint32_t level = 0;     // level of the tree the fold builds
+    std::uint64_t file_seq = 0;  // its durable file (0 = in-memory)
+  };
+  enum class Lane { Seal, Merge };
+
   // order: acquire — pairs with publish_locked()'s release store; a
   // pinned snapshot's runs/trees (built outside any lock) must be
   // fully visible to the query thread that dereferences them.
@@ -294,24 +313,33 @@ class MutableIndex {
     return snapshot_.load(std::memory_order_acquire);
   }
 
+  /// Appends the container's live points to `out` (behind folds,
+  /// compaction, save and WAL rotation).
+  static void append_live(const Run& run, data::PointSet& out);
+  static void append_live(const TreeShard& shard, data::PointSet& out);
+  /// The live points of `snap`, ascending by id.
+  data::PointSet live_points_of(const Snapshot& snap) const;
+  /// A forest tree over `tree`, whose points carry exactly `ids`.
+  static TreeShard make_shard(KdTree tree, std::span<const std::uint64_t> ids,
+                              std::uint32_t level, std::uint64_t file_seq);
+
   // All *_locked members require mutex_ (compiler-enforced under
   // clang -Wthread-safety; DESIGN.md §14).
   void publish_locked() PANDA_REQUIRES(mutex_);
-  bool has_work_locked() const PANDA_REQUIRES(mutex_);
   int overfull_level_locked() const PANDA_REQUIRES(mutex_);
-  /// Appends every live point of the current state to `out` (and its
-  /// id to `ids` when non-null). Order: runs first, then trees.
-  void gather_live_locked(data::PointSet& out) const PANDA_REQUIRES(mutex_);
+  /// Parks (releasing mutex_) until no fold is queued or running — the
+  /// shared wait of quiesce(), compact() and the destructor.
+  void wait_idle_locked(MutexLock& lock) PANDA_REQUIRES(mutex_);
   std::uint32_t level_for_size(std::uint64_t points) const;
 
-  void seal_loop();
-  void merge_loop();
-  /// The slow halves of the background lanes: claimed work is built
-  /// outside the lock, so both must be entered unlocked.
-  void do_seal(std::vector<Run> claimed, std::uint64_t file_seq)
-      PANDA_EXCLUDES(mutex_);
-  void do_level_merge(std::uint32_t level, std::vector<TreeShard> claimed,
-                      std::uint64_t file_seq) PANDA_EXCLUDES(mutex_);
+  void lane_loop(Lane lane);
+  bool has_work_locked(Lane lane) const PANDA_REQUIRES(mutex_);
+  /// Claims the lane's next fold and marks the lane busy; the lane
+  /// must have work.
+  Fold claim_locked(Lane lane) PANDA_REQUIRES(mutex_);
+  /// The slow half of both lanes: claimed work is built outside the
+  /// lock, so it must be entered unlocked.
+  void fold(Fold claimed) PANDA_EXCLUDES(mutex_);
 
   // -------------------------------------------------------------------
   // Durability (DESIGN.md §13) — all no-ops when durable_dir is empty.
@@ -331,6 +359,12 @@ class MutableIndex {
   /// Atomically replaces MANIFEST with the current committed state
   /// (trees_ file_seq/level, wal_seq_, next_file_seq_).
   void write_manifest_locked() PANDA_REQUIRES(mutex_);
+  /// Commits a fold or compaction: consumed runs rotate the WAL, and
+  /// the superseded WAL and `replaced` tree files are deleted only
+  /// after the MANIFEST rename (a crash in between recovers the old
+  /// state and sweeps the new files as orphans).
+  void commit_locked(bool consumed_runs, std::span<const TreeShard> replaced)
+      PANDA_REQUIRES(mutex_);
   /// Seal-time WAL rotation: a fresh wal-<seq> seeded with the forest's
   /// dead ids (one Tombstones frame) and the still-buffered runs (one
   /// Insert frame each), fsynced, then committed via MANIFEST; the old
@@ -352,27 +386,29 @@ class MutableIndex {
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);
 
-  /// The KNN engine behind knn_batch/self_knn_batch: one chunk-stolen
-  /// parallel region answers every query end to end (buffer scan +
-  /// all trees + row merge). `results` must already be reset to
-  /// top-k mode.
+  /// The KNN engine behind knn_batch/self_knn_batch: one forest
+  /// fork-join answers every query end to end (buffer scan + all trees
+  /// + row merge). `results` must already be reset to top-k mode.
   void knn_rows(const data::PointSet& queries, std::size_t k,
-                const Snapshot& snap, TraversalPolicy policy,
-                NeighborTable& results, ForestWorkspace& ws) const;
-  void answer_one_query(const data::PointSet& queries, std::size_t i,
-                        std::size_t k, const Snapshot& snap,
-                        std::span<const std::size_t> k_pads,
-                        std::span<const std::size_t> tree_order,
-                        TraversalPolicy policy, NeighborTable& results,
-                        ForestWorkspace::MergeScratch& w) const;
+                const Snapshot& snap, NeighborTable& results,
+                ForestWorkspace& ws) const;
+  /// Answers query i (already in w.query) into results' row i.
+  void knn_one(std::size_t i, std::size_t k, const Snapshot& snap,
+               const ForestWorkspace& ws, NeighborTable& results,
+               ForestWorkspace::ThreadScratch& w) const;
+  /// The blocked run-buffer scan of w.query: `within(dist²)` is the
+  /// distance test, `take(dist², id)` admits a live candidate.
+  template <typename Within, typename Take>
+  void scan_runs(std::span<const Run> runs, ForestWorkspace::ThreadScratch& w,
+                 const Within& within, const Take& take) const;
 
   std::size_t dims_;
   MutableConfig config_;
   BuildConfig build_;
   std::shared_ptr<parallel::ThreadPool> pool_;
   /// Background seal/merge builds run on this size-1 pool — i.e.
-  /// inline on the (deprioritized) merge thread — never on the shared
-  /// pool, so maintenance cannot steal the query batch kernels' team.
+  /// inline on the lane's own thread — never on the shared pool, so
+  /// maintenance cannot steal the query batch kernels' team.
   /// Synchronous rebuilds (compact(), save()) still use pool_.
   parallel::ThreadPool merge_build_pool_{1};
 
@@ -381,17 +417,21 @@ class MutableIndex {
   /// lanes, the live-id set, counters, and the whole durable-mode
   /// block — is reachable only while it is held.
   mutable Mutex mutex_;
-  CondVar seal_cv_;   // seal thread parks here
-  CondVar merge_cv_;  // level-merge thread parks here
-  CondVar idle_cv_;   // quiesce()/compact() park here
+  CondVar work_cv_;  // both lanes park here
+  CondVar idle_cv_;  // wait_idle_locked() parks here
+  /// Set only once idle (by the destructor), so no claimed or queued
+  /// work is ever abandoned.
   bool stop_ PANDA_GUARDED_BY(mutex_) = false;
-  bool seal_busy_ PANDA_GUARDED_BY(mutex_) = false;
-  bool merge_busy_ PANDA_GUARDED_BY(mutex_) = false;
+  int busy_lanes_ PANDA_GUARDED_BY(mutex_) = 0;  // lanes mid-fold
 
-  std::vector<Run> open_runs_ PANDA_GUARDED_BY(mutex_);
-  /// Total points across open runs.
+  /// Buffered runs, oldest first: the sealed groups, then the open
+  /// runs (the last open_runs_, holding open_points_ points).
+  std::vector<Run> runs_ PANDA_GUARDED_BY(mutex_);
+  std::size_t open_runs_ PANDA_GUARDED_BY(mutex_) = 0;
   std::size_t open_points_ PANDA_GUARDED_BY(mutex_) = 0;
-  std::deque<std::vector<Run>> sealed_groups_ PANDA_GUARDED_BY(mutex_);
+  /// Run counts of the sealed groups at the front of runs_, oldest
+  /// first; the seal lane is their only consumer.
+  std::deque<std::size_t> sealed_groups_ PANDA_GUARDED_BY(mutex_);
   std::vector<TreeShard> trees_ PANDA_GUARDED_BY(mutex_);
   /// The live-id set: duplicate-insert rejection and erase routing.
   std::unordered_set<std::uint64_t> live_ PANDA_GUARDED_BY(mutex_);
@@ -421,10 +461,9 @@ class MutableIndex {
   /// Two background lanes, LSM-style: seals (small, frequent level-0
   /// builds) must never queue behind a level merge (large, rare) —
   /// otherwise sealed groups pile up during a long merge and every
-  /// query brute-scans the backlog. The lanes compose under mutex_:
-  /// do_seal only pops sealed_groups_.front() and appends a level-0
-  /// tree; do_level_merge splices by tree pointer, so trees sealed
-  /// mid-merge survive its publish.
+  /// query brute-scans the backlog. The lanes compose under mutex_: a
+  /// fold splices by payload pointer, so a seal only pops the group it
+  /// claimed and trees sealed mid-merge survive the merge's publish.
   std::thread seal_thread_;
   std::thread merge_thread_;
 };

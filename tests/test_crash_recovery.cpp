@@ -157,8 +157,9 @@ TEST(CrashChild, IngestUntilKilled) {
   }
   ::close(ack_fd);
   // Reaching here means the schedule's failpoint never fired in the
-  // foreground; the index destructor (which joins the background
-  // threads) may still hit it.
+  // foreground. The index destructor drains the background lanes
+  // before it joins them, so a failpoint on a seal or merge site
+  // (tree save, MANIFEST commit, WAL rotation) still fires there.
 }
 
 // ---------------------------------------------------------------------

@@ -550,6 +550,54 @@ TEST(MutableConcurrency, ReadersDuringInsertsErasesAndMerges) {
                      "after concurrent schedule");
 }
 
+// Batches big enough to fan out: every other case here sends at most 16
+// queries, which the forest answers inline. 256 KNN and 256 radius
+// queries on a 4-thread pool run the chunk-stolen fork-join across the
+// team (and the TSan build races its per-thread radius staging), over a
+// forest holding open runs, several trees and tombstones at once.
+TEST(MutableConcurrency, ParallelForestBatchesMatchOracle) {
+  Harness h;
+  h.pool = std::make_shared<parallel::ThreadPool>(4);
+  const auto gen = data::make_generator("gmm", /*seed=*/31);
+  // fan_in 8: the five sealed groups stay five level-0 trees.
+  MutableIndex index = h.make(gen->dims(), /*buffer_capacity=*/64,
+                              /*fan_in=*/8);
+  LiveOracle oracle(gen->dims());
+  for (std::uint64_t b = 0; b < 5; ++b) {
+    PointSet batch(gen->dims());
+    gen->generate(b * 64, b * 64 + 64, batch);
+    index.insert(batch);
+    oracle.insert(batch);
+  }
+  index.quiesce();
+  PointSet open_run(gen->dims());
+  gen->generate(320, 360, open_run);
+  index.insert(open_run);
+  oracle.insert(open_run);
+  std::vector<std::uint64_t> doomed;
+  for (std::uint64_t id = 3; id < 360; id += 9) doomed.push_back(id);
+  EXPECT_EQ(index.erase(doomed), oracle.erase(doomed));
+
+  const MutationStats stats = index.stats();
+  ASSERT_EQ(stats.trees, 5u);
+  ASSERT_EQ(stats.buffered_points, 40u);
+  ASSERT_GT(stats.tombstones, 0u);
+
+  const auto qgen = data::make_generator("gmm", /*seed=*/32);
+  PointSet queries(gen->dims());
+  qgen->generate(0, 256, queries);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7}}) {
+    expect_knn_matches(index, oracle, queries, k, h.results, h.ws,
+                       "parallel knn k=" + std::to_string(k));
+  }
+  std::vector<float> radii(queries.size());
+  for (std::size_t i = 0; i < radii.size(); ++i) {
+    radii[i] = 0.02f + 0.04f * static_cast<float>(i % 7);
+  }
+  expect_radius_matches(index, oracle, queries, radii, h.results, h.ws,
+                        "parallel radius");
+}
+
 // ---------------------------------------------------------------------
 // Stats bookkeeping.
 // ---------------------------------------------------------------------
@@ -728,6 +776,35 @@ TEST(MutableDurability, CompactionRotatesWalAndSurvivesReopen) {
   EXPECT_EQ(reopened.size(), oracle.size());
   expect_knn_matches(reopened, oracle, oracle.points(), /*k=*/4, h.results,
                        h.ws, "post-compaction recovery");
+}
+
+// Destruction drains: groups sealed right before ~MutableIndex are
+// built and committed, not abandoned to WAL replay.
+TEST(MutableDurability, DestructorCommitsPendingSeals) {
+  DurableDir dir;
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/77);
+  LiveOracle oracle(gen->dims());
+  MutableConfig config = durable_config(dir.path(), 32);
+  config.merge_fan_in = 8;  // three level-0 trees never merge
+  {
+    MutableIndex index(gen->dims(), config, BuildConfig{}, h.pool);
+    for (std::uint64_t b = 0; b < 3; ++b) {
+      PointSet batch(gen->dims());
+      gen->generate(b * 32, b * 32 + 32, batch);  // fills the buffer
+      index.insert(batch);
+      oracle.insert(batch);
+    }
+    // Destroyed at once, with up to three seals still queued.
+  }
+  MutableIndex reopened(gen->dims(), config, BuildConfig{}, h.pool);
+  const MutationStats stats = reopened.stats();
+  EXPECT_EQ(stats.trees, 3u);
+  EXPECT_EQ(stats.buffered_points, 0u);
+  EXPECT_EQ(stats.pending_sealed_groups, 0u);
+  EXPECT_EQ(reopened.size(), oracle.size());
+  expect_knn_matches(reopened, oracle, oracle.points(), /*k=*/5, h.results,
+                     h.ws, "reopened after drain");
 }
 
 TEST(MutableDurability, SeedingANonEmptyDirectoryIsRefused) {
